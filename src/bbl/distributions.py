@@ -13,21 +13,25 @@ The two quantities everything else is assembled from are
 * ``partial_expectation(dist, a)`` -- the lower partial moment
   ``integral of z * f(z) below a``.
 
-Integrals run on fixed-order Gauss-Legendre panels; the normal closed form
-of the partial expectation is exposed separately so the two paths can be
-cross-checked.
+Both are exact.  A tabulated density is linear on each cell, so its mass and
+first moment are prefix tables built once per distribution plus one cell's
+closed form, and its quantile is one cell's quadratic root.  Normal and
+mixture kinds use the closed-form cdf and partial moment, with the quantile
+found by a safeguarded Newton iteration.  Gauss-Legendre panel quadrature
+(``quad_nodes``, ``expect``) serves only the portfolio solvers and the
+cross-check against the closed forms.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _finite
 from .preferences import Preferences, cutoff_probability
 
 __all__ = [
@@ -40,6 +44,7 @@ __all__ = [
     "partial_expectation_closed_form",
     "naive_value",
     "sophisticated_value",
+    "sophisticated_value_at",
     "compare",
     "PREFER_A",
     "PREFER_B",
@@ -51,8 +56,8 @@ PREFER_B = "prefer_b"
 INDIFFERENT = "indifferent"
 
 _SUPPORT_SIGMAS = 8.0
-_BISECT_MAX_ITER = 200
-_BISECT_X_TOL = 1e-12
+_NEWTON_MAX_ITER = 100
+_NEWTON_X_TOL = 1e-15  # relative to the width of the support
 
 
 @dataclass(frozen=True)
@@ -98,6 +103,46 @@ def _norm_cdf(z: float, mean: float, sd: float) -> float:
     return 0.5 * (1.0 + math.erf((z - mean) / (sd * math.sqrt(2.0))))
 
 
+def _approx_norm_quantile(p: float) -> float:
+    """Standard normal quantile within 4.5e-4 (Abramowitz & Stegun 26.2.23): a Newton start."""
+    t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+    x = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
+    return x if p > 0.5 else -x
+
+
+def _running_sums(terms) -> tuple[float, ...]:
+    """Prefix sums ``0, t0, t0+t1, ...``, each within about one rounding of
+    the exact partial sum (Neumaier's compensated summation)."""
+    out = [0.0]
+    total = comp = 0.0
+    for t in terms:
+        s = total + t
+        comp += (total - s) + t if abs(total) >= abs(t) else (t - s) + total
+        total = s
+        out.append(total + comp)
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class _CellTables:
+    """Per-cell slopes and prefix tables of a tabulated density: ``mass[i]``
+    and ``moment[i]`` integrate ``f`` and ``z f`` from ``grid[0]`` to ``grid[i]``."""
+
+    slope: tuple[float, ...]
+    mass: tuple[float, ...]
+    moment: tuple[float, ...]
+
+    @classmethod
+    def build(cls, z: tuple[float, ...], f: tuple[float, ...]) -> "_CellTables":
+        cells = range(len(z) - 1)
+        h = [z[i + 1] - z[i] for i in cells]
+        # f is linear on a cell, so the trapezoid mass and this first moment are exact
+        mass = [(f[i] + f[i + 1]) * h[i] * 0.5 for i in cells]
+        moment = [h[i] / 6.0 * (f[i] * (2.0 * z[i] + z[i + 1]) + f[i + 1] * (z[i] + 2.0 * z[i + 1]))
+                  for i in cells]
+        return cls(tuple((f[i + 1] - f[i]) / h[i] for i in cells), _running_sums(mass), _running_sums(moment))
+
+
 @dataclass(frozen=True)
 class NormalComponent:
     weight: float
@@ -105,6 +150,8 @@ class NormalComponent:
     sd: float
 
     def __post_init__(self) -> None:
+        for name in ("weight", "mean", "sd"):
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
         if self.weight <= 0:
             raise ValueError(f"mixture weight must be positive, got {self.weight}")
         if self.sd <= 0:
@@ -120,6 +167,7 @@ class ContinuousDistribution:
     grid: tuple[float, ...] = ()
     density: tuple[float, ...] = ()
     quadrature: QuadratureConfig = DEFAULT_QUADRATURE
+    _cells: _CellTables | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("normal", "mixture", "tabulated"):
@@ -131,8 +179,8 @@ class ContinuousDistribution:
             if abs(total - 1.0) > 1e-10:
                 raise ValueError(f"mixture weights must sum to 1, got {total}")
         else:
-            z = tuple(float(v) for v in self.grid)
-            f = tuple(float(v) for v in self.density)
+            z = tuple(_finite(f"tabulated: z[{i}]", v) for i, v in enumerate(self.grid))
+            f = tuple(_finite(f"tabulated: f[{i}]", v) for i, v in enumerate(self.density))
             if len(z) != len(f):
                 raise ValueError("tabulated: fields 'z' and 'f' must have equal length")
             if len(z) < 2:
@@ -143,7 +191,8 @@ class ContinuousDistribution:
                 raise ValueError("tabulated: density must be nonnegative")
             object.__setattr__(self, "grid", z)
             object.__setattr__(self, "density", f)
-            total = math.fsum((f[i] + f[i + 1]) * (z[i + 1] - z[i]) * 0.5 for i in range(len(z) - 1))
+            object.__setattr__(self, "_cells", _CellTables.build(z, f))
+            total = self._cells.mass[-1]
             tol = max(self.quadrature.abs_tol, 1e-8)
             if abs(total - 1.0) > tol:
                 raise ValueError(f"tabulated: density must integrate to 1 within {tol}, got {total}")
@@ -153,14 +202,14 @@ class ContinuousDistribution:
     @classmethod
     def normal(cls, mean: float, sd: float,
                quadrature: QuadratureConfig = DEFAULT_QUADRATURE) -> "ContinuousDistribution":
-        return cls("normal", components=(NormalComponent(1.0, float(mean), float(sd)),),
+        return cls("normal", components=(NormalComponent(1.0, mean, sd),),
                    quadrature=quadrature)
 
     @classmethod
     def mixture(cls, components,
                 quadrature: QuadratureConfig = DEFAULT_QUADRATURE) -> "ContinuousDistribution":
         comps = tuple(
-            c if isinstance(c, NormalComponent) else NormalComponent(float(c[0]), float(c[1]), float(c[2]))
+            c if isinstance(c, NormalComponent) else NormalComponent(c[0], c[1], c[2])
             for c in components
         )
         return cls("mixture", components=comps, quadrature=quadrature)
@@ -188,39 +237,80 @@ class ContinuousDistribution:
             out = sum(c.weight * _norm_pdf(z, c.mean, c.sd) for c in self.components)
         return float(out) if np.isscalar(z) or z.ndim == 0 else out
 
+    def _cell_head(self, z: float) -> tuple[float, float]:
+        """Mass and first moment of a tabulated density from ``grid[0]`` to an
+        interior point ``z``: prefix tables up to z's cell plus that cell's closed form."""
+        cells = self._cells
+        i = bisect_right(self.grid, z, 1, len(self.grid) - 1) - 1
+        f0, s, t = self.density[i], cells.slope[i], z - self.grid[i]
+        mass = t * (f0 + 0.5 * s * t)
+        moment = self.grid[i] * mass + t * t * (0.5 * f0 + s * t / 3.0)
+        return cells.mass[i] + mass, cells.moment[i] + moment
+
     def cdf(self, z: float) -> float:
         if self.kind == "tabulated":
-            grid, dens = self.grid, self.density
-            if z <= grid[0]:
+            if z <= self.grid[0]:
                 return 0.0
-            if z >= grid[-1]:
+            if z >= self.grid[-1]:
                 return 1.0
-            i = bisect_right(grid, z) - 1
-            acc = math.fsum((dens[k] + dens[k + 1]) * (grid[k + 1] - grid[k]) * 0.5 for k in range(i))
-            fz = self.pdf(z)
-            return acc + (dens[i] + fz) * (z - grid[i]) * 0.5
+            return self._cell_head(z)[0]
         return sum(c.weight * _norm_cdf(z, c.mean, c.sd) for c in self.components)
 
     def mean(self) -> float:
         if self.kind == "tabulated":
-            lo, hi = self.support
-            return partial_expectation(self, hi)
+            return self._cells.moment[-1]
         return math.fsum(c.weight * c.mean for c in self.components)
 
     def quantile(self, p: float) -> float:
-        """Point z with cdf(z) = p, by bisection on the effective support."""
+        """Smallest z on the effective support with cdf(z) >= p.
+
+        Tabulated: the root of one cell's quadratic cdf.  Normal and mixture:
+        Newton steps on the closed-form cdf inside a bracket of the support,
+        with a bisection step wherever Newton would leave the bracket.
+        """
         if not 0.0 < p < 1.0:
             raise DomainError(f"quantile defined only for probabilities in (0, 1), got {p}")
-        lo, hi = self.support
-        for _ in range(_BISECT_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < p:
-                lo = mid
+        if self.kind == "tabulated":
+            return self._tabulated_quantile(p)
+        s_lo, s_hi = self.support
+        tol = _NEWTON_X_TOL * (s_hi - s_lo)
+        # The quantile lies between the smallest and largest component quantile;
+        # the approximate normal quantile is widened by more than its error.
+        z_p = _approx_norm_quantile(p)
+        q = [c.mean + c.sd * z_p for c in self.components]
+        pad = 1e-3 * max(c.sd for c in self.components)
+        lo, hi = (min(max(v, s_lo), s_hi) for v in (min(q) - pad, max(q) + pad))
+        x = min(max(math.fsum(c.weight * qi for c, qi in zip(self.components, q)), lo), hi)
+        for _ in range(_NEWTON_MAX_ITER):
+            r = self.cdf(x) - p
+            if r == 0.0:
+                return x
+            if r < 0.0:
+                lo = x
             else:
-                hi = mid
-            if hi - lo <= _BISECT_X_TOL:
-                break
-        return 0.5 * (lo + hi)
+                hi = x
+            density = self.pdf(x)
+            nxt = x - r / density if density > 0.0 else math.inf
+            if abs(nxt - x) > tol and not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            if abs(nxt - x) <= tol:
+                return nxt
+            x = nxt
+        return x
+
+    def _tabulated_quantile(self, p: float) -> float:
+        mass = self._cells.mass
+        k = bisect_left(mass, p)
+        if k == len(mass):
+            return self.grid[-1]
+        if mass[k] == p:
+            return self.grid[k]
+        i = k - 1
+        r = p - mass[i]
+        f0 = self.density[i]
+        # stable root of f0*d + slope*d^2/2 = r on cell i, which holds mass >= r > 0
+        d = 2.0 * r / (f0 + math.sqrt(max(f0 * f0 + 2.0 * self._cells.slope[i] * r, 0.0)))
+        return min(self.grid[i] + d, self.grid[i + 1])
 
     # ---- quadrature ----------------------------------------------------
 
@@ -300,11 +390,16 @@ def subjective_expectation(dist: ContinuousDistribution, p_star: float) -> float
 
 
 def partial_expectation(dist: ContinuousDistribution, a: float) -> float:
-    """Lower partial moment: quadrature of ``z f(z)`` below ``a``."""
+    """Lower partial moment ``integral of z f(z) below a``, exact for every kind."""
     if not math.isfinite(a):
         raise ValueError(f"partial expectation needs a finite bound, got {a}")
-    lo, hi = dist.support
-    return dist.expect(lambda z: z, lo, min(a, hi))
+    if dist.kind != "tabulated":
+        return partial_expectation_closed_form(dist, a)
+    if a <= dist.grid[0]:
+        return 0.0
+    if a >= dist.grid[-1]:
+        return dist.mean()
+    return dist._cell_head(a)[1]
 
 
 def partial_expectation_closed_form(dist: ContinuousDistribution, a: float) -> float:
@@ -315,7 +410,7 @@ def partial_expectation_closed_form(dist: ContinuousDistribution, a: float) -> f
     for c in dist.components:
         t = (a - c.mean) / c.sd
         acc += c.weight * (c.mean * _norm_cdf(t, 0.0, 1.0) - c.sd * _norm_pdf(t, 0.0, 1.0))
-    return acc
+    return float(acc)
 
 
 def _require_linear_gain_loss(prefs: Preferences) -> None:
@@ -340,10 +435,13 @@ def sophisticated_value(dist: ContinuousDistribution, prefs: Preferences) -> flo
     leaving the objective mean plus an extra ``(lambda-1)`` weighting of the
     loss region below the subjective expectation (payoffs valued linearly).
     """
-    _require_linear_gain_loss(prefs)
-    p_star = cutoff_probability(prefs)
-    a = subjective_expectation(dist, p_star)
-    return prefs.eta * (dist.mean() + (prefs.lambda0 - 1.0) * partial_expectation(dist, a))
+    return sophisticated_value_at(dist, prefs, naive_value(dist, prefs), dist.mean())
+
+
+def sophisticated_value_at(dist: ContinuousDistribution, prefs: Preferences,
+                           expectation: float, mean: float) -> float:
+    """``sophisticated_value`` from the subjective expectation and mean already in hand."""
+    return prefs.eta * (mean + (prefs.lambda0 - 1.0) * partial_expectation(dist, expectation))
 
 
 @dataclass(frozen=True)

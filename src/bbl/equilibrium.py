@@ -24,6 +24,7 @@ from .distributions import (
     naive_value,
     partial_expectation,
     sophisticated_value,
+    sophisticated_value_at,
     subjective_expectation,
 )
 from .preferences import Preferences, eta_for_cutoff
@@ -93,12 +94,13 @@ def sweep(dist: ContinuousDistribution, lambda0: float,
     for p_star in sorted(grid):
         eta = eta_for_cutoff(p_star, lambda0)
         prefs = Preferences(eta=eta, lambda0=lambda0)
+        expectation = naive_value(dist, prefs)
         points.append(EquilibriumPoint(
             p_star=p_star,
             eta=eta,
             pi_rational=eta * mean,
-            pi_naive=naive_price(dist, prefs),
-            pi_sophisticated=sophisticated_price(dist, prefs),
+            pi_naive=prefs.eta * expectation,
+            pi_sophisticated=sophisticated_value_at(dist, prefs, expectation, mean),
         ))
     return points
 

@@ -210,6 +210,19 @@ class TestErrors:
         assert code == 1
         assert "does-not-exist.json" in err
 
+    @pytest.mark.parametrize("dist,field", [
+        ('{"normal":{"mean":0,"sd":NaN}}', "sd"),
+        ('{"mixture":[{"w":NaN,"mean":0,"sd":1},{"w":0.5,"mean":1,"sd":1}]}', "weight"),
+        ('{"tabulated":{"z":[0,NaN,2],"f":[0,1,0]}}', "z[1]"),
+        ('{"tabulated":{"z":[0,1,2],"f":[0,Infinity,0]}}', "f[1]"),
+    ], ids=["normal-sd", "mixture-weight", "tabulated-z", "tabulated-f"])
+    def test_non_finite_distribution_named(self, cli, dist, field):
+        code, out, err = cli("compare", "--dist-a", NORMAL, "--dist-b", dist,
+                             "--prefs", '{"eta":0.64,"lambda":2.25}', "--agent", "naive")
+        assert code == 1
+        assert out == ""
+        assert field in err
+
     def test_bad_grid(self, cli):
         code, _, err = cli("equilibrium", "--dist", NORMAL, "--lambda", "2.25",
                            "--grid", "0.9:0.1:0.01")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,7 +59,27 @@ class TestConstruction:
 
     def test_json_round_trip(self):
         for dist in (N11, SKEWED, ContinuousDistribution.tabulated((0.0, 1.0, 2.0), (0.0, 1.0, 0.0))):
-            assert ContinuousDistribution.from_dict(dist.to_dict()) == dist
+            again = ContinuousDistribution.from_dict(dist.to_dict())
+            assert again == dist
+            assert hash(again) == hash(dist)
+            assert repr(again) == repr(dist)
+            assert "_cells" not in repr(dist)
+
+    @pytest.mark.parametrize("build,field", [
+        (lambda: ContinuousDistribution.normal(0.0, math.nan), "sd"),
+        (lambda: ContinuousDistribution.normal(math.nan, 1.0), "mean"),
+        (lambda: ContinuousDistribution.normal(math.inf, 1.0), "mean"),
+        (lambda: ContinuousDistribution.mixture([(math.nan, 0.0, 1.0), (0.5, 1.0, 1.0)]), "weight"),
+        (lambda: ContinuousDistribution.mixture([(0.5, 0.0, 1.0), (0.5, 1.0, math.inf)]), "sd"),
+        (lambda: ContinuousDistribution.tabulated((0.0, math.nan, 2.0), (0.0, 1.0, 0.0)), "z[1]"),
+        (lambda: ContinuousDistribution.tabulated((0.0, 1.0, math.inf), (0.0, 1.0, 0.0)), "z[2]"),
+        (lambda: ContinuousDistribution.tabulated((0.0, 1.0, 2.0), (0.0, math.nan, 0.0)), "f[1]"),
+        (lambda: ContinuousDistribution.from_dict({"normal": {"mean": 0, "sd": "wide"}}), "sd"),
+    ], ids=["normal-sd-nan", "normal-mean-nan", "normal-mean-inf", "mixture-weight-nan",
+            "mixture-sd-inf", "tabulated-z-nan", "tabulated-z-inf", "tabulated-f-nan", "normal-sd-text"])
+    def test_non_finite_input_names_field(self, build, field):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            build()
 
     def test_json_missing_field_named(self):
         with pytest.raises(ValueError, match="sd"):
@@ -103,10 +124,11 @@ class TestPartialExpectation:
         assert partial_expectation(N11, 1.0) == pytest.approx(0.1010577, abs=1e-7)
 
     def test_quadrature_matches_closed_form(self):
+        # the Gauss-Legendre path the portfolio solvers use, against the closed form
         for dist in (N01, N11, N02, SKEWED):
             lo, hi = dist.support
             for a in np.linspace(lo, hi, 50):
-                assert partial_expectation(dist, float(a)) == pytest.approx(
+                assert dist.expect(lambda z: z, lo, float(a)) == pytest.approx(
                     partial_expectation_closed_form(dist, float(a)), abs=1e-8)
 
     def test_closed_form_requires_normal_family(self):
@@ -129,9 +151,182 @@ class TestTabulated:
         assert partial_expectation(self.TRIANGLE, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
+def random_tabulated(rng, mass=1.0):
+    """Tabulated density on an uneven grid, with zero-density cells and flat plateaus."""
+    n = int(rng.integers(3, 40))
+    z = np.cumsum(np.concatenate([[rng.uniform(-5.0, 5.0)], rng.uniform(0.0, 1.0, n - 1) ** 2 + 1e-3]))
+    f = rng.uniform(0.0, 2.0, n)
+    for i in rng.choice(n - 1, size=int(rng.integers(0, n // 3 + 1)), replace=False):
+        if rng.uniform() < 0.5:
+            f[i] = f[i + 1] = 0.0  # a cell without mass: a flat stretch of the cdf
+        else:
+            f[i + 1] = f[i]  # a cell of constant density
+    if not f.any():
+        f[n // 2] = 1.0
+    z, f = [float(v) for v in z], [float(v) for v in f]
+    scale = mass / math.fsum((f[i] + f[i + 1]) * (z[i + 1] - z[i]) * 0.5 for i in range(n - 1))
+    return ContinuousDistribution.tabulated(z, [v * scale for v in f])
+
+
+@pytest.fixture(scope="module")
+def tabulated_corpus():
+    """221 tabulated densities: 218 seeded random ones, two with a trapezoid mass of
+    1 -+ 5e-9, and the calibrated asset's (a zero-density cell and a flat top)."""
+    rng = np.random.default_rng(20261017)
+    corpus = [random_tabulated(rng) for _ in range(218)]
+    corpus += [random_tabulated(rng, 1.0 - 5e-9), random_tabulated(rng, 1.0 + 5e-9)]
+    corpus.append(ContinuousDistribution.tabulated(
+        (-0.9, -0.5, 0.0, 0.1, 0.5, 0.9), (0.4, 0.0, 0.0, 0.92 / 0.65, 0.92 / 0.65, 0.0)))
+    return corpus
+
+
+def trapezoid_cdf(dist, x):
+    """Mass below ``x`` as an fsum of trapezoids over a linear scan of the cells."""
+    z, f = dist.grid, dist.density
+    if x <= z[0]:
+        return 0.0
+    if x >= z[-1]:
+        return 1.0
+    i = max(k for k in range(len(z) - 1) if z[k] <= x)
+    fx = f[i] + (f[i + 1] - f[i]) * (x - z[i]) / (z[i + 1] - z[i])
+    cells = [(f[k] + f[k + 1]) * (z[k + 1] - z[k]) * 0.5 for k in range(i)]
+    return math.fsum(cells + [(f[i] + fx) * (x - z[i]) * 0.5])
+
+
+def simpson_moment(dist, a):
+    """Lower partial moment by Simpson's rule run cell by cell (exact for ``z f`` quadratic on a cell)."""
+    z = dist.grid
+    edges = [v for v in z if v < a] + ([min(a, z[-1])] if a > z[0] else [])
+    return math.fsum(simpson_integral(lambda x: x * dist.pdf(x), lo, hi, 3)
+                     for lo, hi in zip(edges, edges[1:]))
+
+
+def sample_points(rng, dist, k=12):
+    z = dist.grid
+    return list(z) + [float(v) for v in rng.uniform(z[0] - 0.5, z[-1] + 0.5, k)]
+
+
+def erf_bisection_quantile(dist, p):
+    """Quantile by bisection on a math.erf mixture cdf, to the last few bits."""
+    comps = dist.components
+
+    def cdf(x):
+        return math.fsum(c.weight * 0.5 * (1.0 + math.erf((x - c.mean) / (c.sd * math.sqrt(2.0))))
+                         for c in comps)
+
+    lo = min(c.mean - 8.0 * c.sd for c in comps)
+    hi = max(c.mean + 8.0 * c.sd for c in comps)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def random_mixture(rng):
+    k = int(rng.integers(1, 4))
+    w = [float(v) for v in rng.dirichlet(np.ones(k))]
+    w[-1] = 1.0 - math.fsum(w[:-1])
+    return ContinuousDistribution.mixture(
+        [(w[i], float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.2, 2.0))) for i in range(k)])
+
+
+@pytest.fixture
+def cdf_calls(monkeypatch):
+    """Counts ContinuousDistribution.cdf calls: one per Newton step of a normal or mixture quantile."""
+    count = [0]
+    original = ContinuousDistribution.cdf
+
+    def counting(self, z):
+        count[0] += 1
+        return original(self, z)
+
+    monkeypatch.setattr(ContinuousDistribution, "cdf", counting)
+    return count
+
+
+SWEEP_PROBS = [0.01] + [0.05 + 0.01 * i for i in range(91)] + [0.99]
+
+
+class TestExactKernel:
+    def test_tabulated_cdf_matches_trapezoid_fsum(self, tabulated_corpus):
+        rng = np.random.default_rng(1)
+        for dist in tabulated_corpus:
+            for x in sample_points(rng, dist):
+                assert dist.cdf(x) == pytest.approx(trapezoid_cdf(dist, x), abs=1e-14)
+
+    def test_tabulated_moments_match_simpson(self, tabulated_corpus):
+        rng = np.random.default_rng(2)
+        for dist in tabulated_corpus:
+            assert dist.mean() == pytest.approx(simpson_moment(dist, dist.grid[-1]), abs=1e-12)
+            for a in sample_points(rng, dist):
+                assert partial_expectation(dist, a) == pytest.approx(simpson_moment(dist, a), abs=1e-12)
+
+    def test_tabulated_quantile_inverts_cdf(self, tabulated_corpus):
+        rng = np.random.default_rng(3)
+        for dist in tabulated_corpus:
+            total = trapezoid_cdf(dist, math.nextafter(dist.grid[-1], -math.inf))
+            for p in rng.uniform(0.0, min(total, 1.0), 25):
+                if 0.0 < p < 1.0:
+                    q = dist.quantile(float(p))
+                    # on a tall spike one float step of q moves the cdf by more than 1e-14
+                    assert dist.cdf(q) == pytest.approx(float(p), abs=1e-14 + dist.pdf(q) * math.ulp(q))
+
+    def test_tabulated_quantile_smallest_point_on_flat_stretch(self, tabulated_corpus):
+        checked = 0
+        for dist in tabulated_corpus:
+            z, f = dist.grid, dist.density
+            empty = [f[i] == 0.0 and f[i + 1] == 0.0 for i in range(len(z) - 1)]
+            for j in range(1, len(z) - 1):
+                if not empty[j] or empty[j - 1]:
+                    continue
+                k = j
+                while k < len(empty) and empty[k]:
+                    k += 1
+                level = dist.cdf(z[j])
+                if not 0.0 < level < 1.0 - 1e-8:
+                    continue
+                assert dist.quantile(level) == pytest.approx(z[j], abs=1e-12)
+                assert dist.quantile(level + 1e-9) > z[k]
+                checked += 1
+        assert checked > 50
+
+    def test_tabulated_quantile_above_total_mass_is_right_end(self, tabulated_corpus):
+        short = tabulated_corpus[-3]
+        total = trapezoid_cdf(short, math.nextafter(short.grid[-1], -math.inf))
+        assert total == pytest.approx(1.0 - 5e-9, abs=1e-14)
+        assert short.quantile(1.0 - 1e-9) == short.grid[-1]
+        assert short.cdf(short.grid[-1]) == 1.0
+        assert short.cdf(short.grid[0]) == 0.0
+
+    @pytest.mark.parametrize("dist", [N01, N11, N02, SKEWED], ids=["N01", "N11", "N02", "skewed"])
+    def test_normal_quantile_newton_steps(self, dist, cdf_calls):
+        for p in SWEEP_PROBS:
+            cdf_calls[0] = 0
+            q = dist.quantile(p)
+            assert cdf_calls[0] <= 8
+            assert q == pytest.approx(erf_bisection_quantile(dist, p), abs=1e-12)
+
+    def test_mixture_quantile_corpus(self, cdf_calls):
+        rng = np.random.default_rng(4)
+        worst = 0
+        for _ in range(60):
+            dist = random_mixture(rng)
+            for p in SWEEP_PROBS[::4]:
+                cdf_calls[0] = 0
+                q = dist.quantile(p)
+                worst = max(worst, cdf_calls[0])
+                assert q == pytest.approx(erf_bisection_quantile(dist, p), abs=1e-12)
+        assert worst <= 12
+
+
 class TestValues:
     def test_naive_symmetric_median(self):
-        assert naive_value(N01, prefs_for(0.5)) == pytest.approx(0.0, abs=1e-9)
+        assert naive_value(N01, prefs_for(0.5)) == pytest.approx(0.0, abs=1e-15)
 
     def test_naive_spread_ranking(self):
         p = prefs_for(0.3)
