@@ -21,7 +21,6 @@ from .distributions import (
     ComparisonResult,
     ContinuousDistribution,
     NormalComponent,
-    QuadratureConfig,
     compare,
     naive_value,
     partial_expectation,
@@ -74,7 +73,6 @@ __all__ = [
     "NormalComponent",
     "PortfolioSolution",
     "Preferences",
-    "QuadratureConfig",
     "TimingVerdict",
     "canonical_beliefs",
     "certainty_equivalent_excess",

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _fields, _finite, _finite_tuple
 from .preferences import GENERAL, Preferences, cutoff_probability, gain_loss, loss_multiplier
 
 __all__ = [
@@ -62,6 +62,7 @@ class ConsumptionUtility:
         if self.kind == "power":
             if self.rho is None:
                 raise ValueError("utility: power kind requires field 'rho'")
+            object.__setattr__(self, "rho", _finite("utility.rho", self.rho))
             if self.rho <= 0 or self.rho == 1.0:
                 raise ValueError(f"utility.rho must be positive and different from 1, got {self.rho}")
 
@@ -119,13 +120,10 @@ class ConsumptionUtility:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ConsumptionUtility":
-        if not isinstance(obj, dict):
-            raise ValueError("utility: expected a JSON object")
+        _fields("utility", obj)
         kind = obj.get("kind", "linear")
         if kind == "power":
-            if "rho" not in obj:
-                raise ValueError("utility: missing field 'rho'")
-            return cls("power", float(obj["rho"]))
+            return cls("power", *_fields("utility", obj, "rho"))
         return cls(kind)
 
 
@@ -142,8 +140,8 @@ class DiscreteLottery:
     utility: ConsumptionUtility = field(default_factory=ConsumptionUtility)
 
     def __post_init__(self) -> None:
-        payoffs = tuple(float(z) for z in self.payoffs)
-        probs = tuple(float(p) for p in self.probs)
+        payoffs = _finite_tuple("payoffs", self.payoffs)
+        probs = _finite_tuple("probs", self.probs)
         if len(payoffs) != len(probs):
             raise ValueError(
                 f"payoffs and probs must have equal length, got {len(payoffs)} and {len(probs)}"
@@ -182,13 +180,9 @@ class DiscreteLottery:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DiscreteLottery":
-        if not isinstance(obj, dict):
-            raise ValueError("lottery: expected a JSON object")
-        for key in ("payoffs", "probs"):
-            if key not in obj:
-                raise ValueError(f"lottery: missing field {key!r}")
+        payoffs, probs = _fields("lottery", obj, "payoffs", "probs")
         utility = ConsumptionUtility.from_dict(obj["utility"]) if "utility" in obj else ConsumptionUtility()
-        return cls(tuple(obj["payoffs"]), tuple(obj["probs"]), utility)
+        return cls(payoffs, probs, utility)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,9 @@
 """Command-line front end: parse inputs, dispatch to the solvers, emit JSON/CSV.
 
 Exit codes: 0 on success, 1 on an input error, 2 on a numerical failure
-(non-convergence or a failed oracle verification).  Numbers are printed at
-10 significant digits so identical inputs give byte-identical output.
-The ``BBL_QUAD_TOL`` environment variable overrides the quadrature
-tolerance used when distributions are built from JSON.
+(non-convergence, a non-finite result or a failed oracle verification).
+Numbers are printed at 10 significant digits so identical inputs give
+byte-identical output; NaN and infinities are never printed.
 """
 
 from __future__ import annotations
@@ -12,17 +11,18 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import equilibrium as eq
 from .beliefs import ConsumptionUtility, DiscreteLottery, solve_optimal_beliefs
-from .distributions import DEFAULT_QUADRATURE, ContinuousDistribution, QuadratureConfig, compare
-from .errors import ConvergenceError
+from .distributions import ContinuousDistribution, compare
+from .equilibrium import _fmt
+from .errors import ConvergenceError, _finite
 from .oracles import grid_search_alpha, grid_search_beliefs
 from .portfolio import (
+    DEFAULT_BOUNDS,
     Asset,
     naive_alpha,
     naive_fixed_objective,
@@ -46,10 +46,6 @@ class _Parser(argparse.ArgumentParser):
     # numerical failure, so argument problems are rethrown and mapped to 1.
     def error(self, message):
         raise _CliArgumentError(message)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
 
 
 def _round10(obj):
@@ -80,51 +76,12 @@ def _load_json(name: str, text: str):
         raise ValueError(f"argument {name}: invalid JSON in file {text!r}: {e}") from e
 
 
-def _parse_triplet(name: str, text: str) -> tuple[float, float, float]:
+def _parse_colon(name: str, text: str, fields: tuple[str, ...]) -> tuple[float, ...]:
+    """The finite numbers of a colon-separated argument with one part per field."""
     parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"argument {name}: expected start:end:step, got {text!r}")
-    try:
-        start, end, step = (float(v) for v in parts)
-    except ValueError as e:
-        raise ValueError(f"argument {name}: expected numeric start:end:step, got {text!r}") from e
-    if step <= 0 or end < start:
-        raise ValueError(f"argument {name}: need start <= end and step > 0, got {text!r}")
-    return start, end, step
-
-
-def _parse_bounds(name: str, text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"argument {name}: expected lo:hi, got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError as e:
-        raise ValueError(f"argument {name}: expected numeric lo:hi, got {text!r}") from e
-    return lo, hi
-
-
-def _grid_values(start: float, end: float, step: float) -> tuple[float, ...]:
-    values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > end + 0.5 * step:
-            break
-        values.append(v)
-        k += 1
-    return tuple(values)
-
-
-def _quadrature_from_env() -> QuadratureConfig:
-    raw = os.environ.get("BBL_QUAD_TOL")
-    if raw is None:
-        return DEFAULT_QUADRATURE
-    try:
-        tol = float(raw)
-    except ValueError as e:
-        raise ValueError(f"BBL_QUAD_TOL: expected a number, got {raw!r}") from e
-    return QuadratureConfig(abs_tol=tol)
+    if len(parts) != len(fields):
+        raise ValueError(f"argument {name}: expected {':'.join(fields)}, got {text!r}")
+    return tuple(_finite(f"argument {name}: {field}", v) for field, v in zip(fields, parts))
 
 
 def _emit_text(text: str, output: str | None) -> None:
@@ -171,7 +128,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--agent", choices=["rational", "naive", "sophisticated"], required=True)
     p.add_argument("--prefs")
     p.add_argument("--utility")
-    p.add_argument("--bounds", default="-10:10")
+    p.add_argument("--bounds")
     p.add_argument("--output", "-o")
 
     p = sub.add_parser("equilibrium", help="price sweep over the cutoff grid")
@@ -191,7 +148,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--asset")
     p.add_argument("--agent", choices=["rational", "naive", "sophisticated"], default="rational")
     p.add_argument("--utility")
-    p.add_argument("--bounds", default="-10:10")
+    p.add_argument("--bounds")
     p.add_argument("--n", type=int, default=2001)
     p.add_argument("--output", "-o")
     return parser
@@ -223,24 +180,18 @@ def _cmd_timing(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    quad = _quadrature_from_env()
-    dist_a = ContinuousDistribution.from_dict(_load_json("--dist-a", args.dist_a), quad)
-    dist_b = ContinuousDistribution.from_dict(_load_json("--dist-b", args.dist_b), quad)
+    dist_a = ContinuousDistribution.from_dict(_load_json("--dist-a", args.dist_a))
+    dist_b = ContinuousDistribution.from_dict(_load_json("--dist-b", args.dist_b))
     prefs = Preferences.from_dict(_load_json("--prefs", args.prefs))
     _emit_json(compare(dist_a, dist_b, prefs, args.agent).to_dict(), args.output)
     return 0
 
 
 def _portfolio_inputs(args):
-    quad = _quadrature_from_env()
-    obj = _load_json("--asset", args.asset)
-    if not isinstance(obj, dict) or "excess" not in obj:
-        raise ValueError("asset: missing field 'excess'")
-    asset = Asset(float(obj.get("r_f", 0.0)),
-                  ContinuousDistribution.from_dict(obj["excess"], quad))
+    asset = Asset.from_dict(_load_json("--asset", args.asset))
     utility = (ConsumptionUtility.from_dict(_load_json("--utility", args.utility))
                if args.utility else ConsumptionUtility())
-    bounds = _parse_bounds("--bounds", args.bounds)
+    bounds = DEFAULT_BOUNDS if args.bounds is None else _parse_colon("--bounds", args.bounds, ("lo", "hi"))
     return asset, utility, bounds
 
 
@@ -259,10 +210,11 @@ def _cmd_portfolio(args) -> int:
 
 
 def _cmd_equilibrium(args) -> int:
-    quad = _quadrature_from_env()
-    dist = ContinuousDistribution.from_dict(_load_json("--dist", args.dist), quad)
-    start, end, step = _parse_triplet("--grid", args.grid)
-    points = eq.sweep(dist, args.lambda0, _grid_values(start, end, step))
+    dist = ContinuousDistribution.from_dict(_load_json("--dist", args.dist))
+    start, end, step = _parse_colon("--grid", args.grid, ("start", "end", "step"))
+    if step <= 0 or end < start:
+        raise ValueError(f"argument --grid: need start <= end and step > 0, got {args.grid!r}")
+    points = eq.sweep(dist, args.lambda0, eq.default_grid(start, end, step))
     if args.format == "csv":
         buf = io.StringIO()
         eq.write_sweep_csv(points, buf)
@@ -351,7 +303,7 @@ def run(argv) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except ConvergenceError as e:
+    except (ConvergenceError, ArithmeticError) as e:
         print(f"bbl: numerical failure: {e}", file=sys.stderr)
         return 2
     except ValueError as e:

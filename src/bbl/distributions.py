@@ -31,11 +31,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, _finite
+from .errors import DomainError, _fields, _finite, _finite_tuple
 from .preferences import Preferences, cutoff_probability
 
 __all__ = [
-    "QuadratureConfig",
     "NormalComponent",
     "ContinuousDistribution",
     "ComparisonResult",
@@ -58,34 +57,19 @@ INDIFFERENT = "indifferent"
 _SUPPORT_SIGMAS = 8.0
 _NEWTON_MAX_ITER = 100
 _NEWTON_X_TOL = 1e-15  # relative to the width of the support
+_GL_ORDER = 20  # Gauss-Legendre nodes per panel
+_GL_PANELS = 64  # equal panels over a normal or mixture support
+_TABULATED_MASS_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Fixed-order Gauss-Legendre panel rule."""
-
-    order: int = 20
-    panels: int = 64
-    abs_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.order < 2 or self.panels < 1:
-            raise ValueError("quadrature needs order >= 2 and panels >= 1")
-        if self.abs_tol <= 0:
-            raise ValueError("quadrature abs_tol must be positive")
+@lru_cache(maxsize=1)
+def _leggauss() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
-DEFAULT_QUADRATURE = QuadratureConfig()
-
-
-@lru_cache(maxsize=8)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
-
-
-def _panel_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights for the panels delimited by ``edges``."""
-    base_x, base_w = _leggauss(order)
+    base_x, base_w = _leggauss()
     lo = edges[:-1][:, None]
     hi = edges[1:][:, None]
     half = 0.5 * (hi - lo)
@@ -166,7 +150,6 @@ class ContinuousDistribution:
     components: tuple[NormalComponent, ...] = ()
     grid: tuple[float, ...] = ()
     density: tuple[float, ...] = ()
-    quadrature: QuadratureConfig = DEFAULT_QUADRATURE
     _cells: _CellTables | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -179,8 +162,8 @@ class ContinuousDistribution:
             if abs(total - 1.0) > 1e-10:
                 raise ValueError(f"mixture weights must sum to 1, got {total}")
         else:
-            z = tuple(_finite(f"tabulated: z[{i}]", v) for i, v in enumerate(self.grid))
-            f = tuple(_finite(f"tabulated: f[{i}]", v) for i, v in enumerate(self.density))
+            z = _finite_tuple("tabulated: z", self.grid)
+            f = _finite_tuple("tabulated: f", self.density)
             if len(z) != len(f):
                 raise ValueError("tabulated: fields 'z' and 'f' must have equal length")
             if len(z) < 2:
@@ -193,31 +176,27 @@ class ContinuousDistribution:
             object.__setattr__(self, "density", f)
             object.__setattr__(self, "_cells", _CellTables.build(z, f))
             total = self._cells.mass[-1]
-            tol = max(self.quadrature.abs_tol, 1e-8)
-            if abs(total - 1.0) > tol:
-                raise ValueError(f"tabulated: density must integrate to 1 within {tol}, got {total}")
+            if abs(total - 1.0) > _TABULATED_MASS_TOL:
+                raise ValueError(
+                    f"tabulated: density must integrate to 1 within {_TABULATED_MASS_TOL}, got {total}")
 
     # ---- constructors -------------------------------------------------
 
     @classmethod
-    def normal(cls, mean: float, sd: float,
-               quadrature: QuadratureConfig = DEFAULT_QUADRATURE) -> "ContinuousDistribution":
-        return cls("normal", components=(NormalComponent(1.0, mean, sd),),
-                   quadrature=quadrature)
+    def normal(cls, mean: float, sd: float) -> "ContinuousDistribution":
+        return cls("normal", components=(NormalComponent(1.0, mean, sd),))
 
     @classmethod
-    def mixture(cls, components,
-                quadrature: QuadratureConfig = DEFAULT_QUADRATURE) -> "ContinuousDistribution":
+    def mixture(cls, components) -> "ContinuousDistribution":
         comps = tuple(
             c if isinstance(c, NormalComponent) else NormalComponent(c[0], c[1], c[2])
             for c in components
         )
-        return cls("mixture", components=comps, quadrature=quadrature)
+        return cls("mixture", components=comps)
 
     @classmethod
-    def tabulated(cls, z, f,
-                  quadrature: QuadratureConfig = DEFAULT_QUADRATURE) -> "ContinuousDistribution":
-        return cls("tabulated", grid=tuple(z), density=tuple(f), quadrature=quadrature)
+    def tabulated(cls, z, f) -> "ContinuousDistribution":
+        return cls("tabulated", grid=z, density=f)
 
     # ---- basic functionals --------------------------------------------
 
@@ -318,7 +297,7 @@ class ContinuousDistribution:
         if self.kind == "tabulated":
             inner = [z for z in self.grid if lo < z < hi]
             return np.array([lo, *inner, hi])
-        return np.linspace(lo, hi, self.quadrature.panels + 1)
+        return np.linspace(lo, hi, _GL_PANELS + 1)
 
     def quad_nodes(self, lo: float | None = None, hi: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Nodes ``x`` and weights ``w`` with the density folded in, so that
@@ -328,7 +307,7 @@ class ContinuousDistribution:
         hi = s_hi if hi is None else min(hi, s_hi)
         if hi <= lo:
             return np.empty(0), np.empty(0)
-        x, w = _panel_nodes(self._panel_edges(lo, hi), self.quadrature.order)
+        x, w = _panel_nodes(self._panel_edges(lo, hi))
         return x, w * self.pdf(x)
 
     def expect(self, fn, lo: float | None = None, hi: float | None = None) -> float:
@@ -349,30 +328,17 @@ class ContinuousDistribution:
         return {"tabulated": {"z": list(self.grid), "f": list(self.density)}}
 
     @classmethod
-    def from_dict(cls, obj: dict,
-                  quadrature: QuadratureConfig = DEFAULT_QUADRATURE) -> "ContinuousDistribution":
-        if not isinstance(obj, dict):
-            raise ValueError("distribution: expected a JSON object")
+    def from_dict(cls, obj: dict) -> "ContinuousDistribution":
+        _fields("distribution", obj)
         if "normal" in obj:
-            spec = obj["normal"]
-            for key in ("mean", "sd"):
-                if key not in spec:
-                    raise ValueError(f"distribution.normal: missing field {key!r}")
-            return cls.normal(spec["mean"], spec["sd"], quadrature)
+            return cls.normal(*_fields("distribution.normal", obj["normal"], "mean", "sd"))
         if "mixture" in obj:
-            comps = []
-            for i, spec in enumerate(obj["mixture"]):
-                for key in ("w", "mean", "sd"):
-                    if key not in spec:
-                        raise ValueError(f"distribution.mixture[{i}]: missing field {key!r}")
-                comps.append((spec["w"], spec["mean"], spec["sd"]))
-            return cls.mixture(comps, quadrature)
+            if not isinstance(obj["mixture"], list):
+                raise ValueError("distribution.mixture: expected a JSON list")
+            return cls.mixture([_fields(f"distribution.mixture[{i}]", spec, "w", "mean", "sd")
+                                for i, spec in enumerate(obj["mixture"])])
         if "tabulated" in obj:
-            spec = obj["tabulated"]
-            for key in ("z", "f"):
-                if key not in spec:
-                    raise ValueError(f"distribution.tabulated: missing field {key!r}")
-            return cls.tabulated(spec["z"], spec["f"], quadrature)
+            return cls.tabulated(*_fields("distribution.tabulated", obj["tabulated"], "z", "f"))
         raise ValueError("distribution: expected one of the fields 'normal', 'mixture', 'tabulated'")
 
 

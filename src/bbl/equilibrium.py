@@ -138,11 +138,19 @@ def sweep_thresholds(dist: ContinuousDistribution, lambda0: float) -> dict:
 
 
 def _fmt(x: float) -> str:
+    """``x`` at 10 significant digits; FloatingPointError for NaN or an infinity,
+    which no output may carry."""
+    if not math.isfinite(x):
+        raise FloatingPointError(f"non-finite result {x}")
     return f"{x:.10g}"
 
 
 def write_sweep_csv(points: Sequence[EquilibriumPoint], stream: TextIO) -> None:
-    """CSV with exactly the five declared columns, 10 significant digits."""
+    """CSV with exactly the five declared columns, 10 significant digits.
+
+    Raises FloatingPointError at a value that is not finite; the rows before it
+    are already written.
+    """
     stream.write(",".join(CSV_COLUMNS) + "\n")
     for pt in points:
         row = (pt.p_star, pt.eta, pt.pi_rational, pt.pi_naive, pt.pi_sophisticated)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .beliefs import ConsumptionUtility
 from .distributions import ContinuousDistribution
-from .errors import DomainError
+from .errors import DomainError, _fields, _finite
 from .preferences import LINEAR, Preferences, cutoff_probability
 
 __all__ = [
@@ -57,17 +57,16 @@ class Asset:
     r_f: float
     excess: ContinuousDistribution
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "r_f", _finite("asset.r_f", self.r_f))
+
     def to_dict(self) -> dict:
         return {"r_f": self.r_f, "excess": self.excess.to_dict()}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Asset":
-        if not isinstance(obj, dict):
-            raise ValueError("asset: expected a JSON object")
-        for key in ("r_f", "excess"):
-            if key not in obj:
-                raise ValueError(f"asset: missing field {key!r}")
-        return cls(float(obj["r_f"]), ContinuousDistribution.from_dict(obj["excess"]))
+        r_f, excess = _fields("asset", obj, "r_f", "excess")
+        return cls(r_f, ContinuousDistribution.from_dict(excess))
 
 
 @dataclass(frozen=True)
@@ -375,17 +374,21 @@ def naive_alpha(asset: Asset, prefs: Preferences,
     return _finish_naive(grid, prefs, utility, best_alpha, best_iters, converged=True)
 
 
+def _belief_finish(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):
+    """``belief_expectation`` and ``r_ce`` at the share ``alpha``: the utility of the
+    payoff at the belief cutoff, and the sure excess return matching it (None at alpha = 0)."""
+    r_f = grid.asset.r_f
+    if alpha == 0.0:
+        return utility.value(r_f), None
+    expectation = utility.value(r_f + alpha * grid.cut(alpha))
+    return expectation, (utility.inverse(expectation) - r_f) / alpha
+
+
 def _finish_naive(grid: _AssetGrid, prefs: Preferences, utility: ConsumptionUtility,
                   alpha: float, iterations: int, converged: bool) -> PortfolioSolution:
-    asset = grid.asset
     objective = _naive_step_objective(grid, utility, alpha)
     value = objective(alpha)
-    if alpha == 0.0:
-        belief_expectation = utility.value(asset.r_f)
-        r_ce = None
-    else:
-        belief_expectation = utility.value(asset.r_f + alpha * grid.cut(alpha))
-        r_ce = (utility.inverse(belief_expectation) - asset.r_f) / alpha
+    belief_expectation, r_ce = _belief_finish(grid, utility, alpha)
     return PortfolioSolution(alpha=alpha, belief_expectation=belief_expectation, r_ce=r_ce,
                              value=value, converged=converged, iterations=iterations)
 
@@ -421,12 +424,7 @@ def sophisticated_alpha(asset: Asset, prefs: Preferences,
             ):
                 best_alpha, best_value = cand_alpha, cand_value
 
-    if best_alpha == 0.0:
-        belief_expectation = utility.value(asset.r_f)
-        r_ce = None
-    else:
-        belief_expectation = utility.value(asset.r_f + best_alpha * grid.cut(best_alpha))
-        r_ce = (utility.inverse(belief_expectation) - asset.r_f) / best_alpha
+    belief_expectation, r_ce = _belief_finish(grid, utility, best_alpha)
     return PortfolioSolution(alpha=best_alpha, belief_expectation=belief_expectation,
                              r_ce=r_ce, value=best_value, converged=True, iterations=total_iters)
 
@@ -436,6 +434,4 @@ def certainty_equivalent_excess(asset: Asset, alpha: float, prefs: Preferences,
     """Sure excess return matching the subjective expected utility at ``alpha``."""
     if alpha == 0.0:
         raise DomainError("certainty-equivalent excess return is undefined at alpha = 0")
-    grid = _AssetGrid(asset, prefs)
-    expectation = utility.value(asset.r_f + alpha * grid.cut(alpha))
-    return (utility.inverse(expectation) - asset.r_f) / alpha
+    return _belief_finish(_AssetGrid(asset, prefs), utility, alpha)[1]

@@ -18,7 +18,9 @@ deflating it does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .errors import _fields, _finite
 
 __all__ = [
     "GainLossSpec",
@@ -50,6 +52,8 @@ class GainLossSpec:
         if self.kind not in (LINEAR, GENERAL):
             raise ValueError(f"gain_loss.kind must be 'linear' or 'general', got {self.kind!r}")
         if self.kind == GENERAL:
+            object.__setattr__(self, "beta", _finite("gain_loss.beta", self.beta))
+            object.__setattr__(self, "kappa", _finite("gain_loss.kappa", self.kappa))
             if not self.beta > 0:
                 raise ValueError(f"gain_loss.beta must be positive, got {self.beta}")
             if not self.kappa > 0:
@@ -70,16 +74,12 @@ class GainLossSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "GainLossSpec":
-        if not isinstance(obj, dict):
-            raise ValueError("gain_loss: expected a JSON object")
+        _fields("gain_loss", obj)
         kind = obj.get("kind", LINEAR)
         if kind == LINEAR:
             return cls.linear()
         if kind == GENERAL:
-            missing = [k for k in ("beta", "kappa") if k not in obj]
-            if missing:
-                raise ValueError(f"gain_loss: missing field {missing[0]!r}")
-            return cls.general(float(obj["beta"]), float(obj["kappa"]))
+            return cls.general(*_fields("gain_loss", obj, "beta", "kappa"))
         raise ValueError(f"gain_loss.kind: unknown value {kind!r}")
 
 
@@ -94,9 +94,12 @@ class Preferences:
     eta: float
     lambda0: float
     gamma: float = 1.0
-    gain_loss: GainLossSpec = field(default_factory=GainLossSpec.linear)
+    gain_loss: GainLossSpec = GainLossSpec()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "eta", _finite("eta", self.eta))
+        object.__setattr__(self, "lambda0", _finite("lambda", self.lambda0))
+        object.__setattr__(self, "gamma", _finite("gamma", self.gamma))
         if not 0 < self.eta <= 1:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
         if not self.lambda0 > 1:
@@ -119,16 +122,12 @@ class Preferences:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Preferences":
-        if not isinstance(obj, dict):
-            raise ValueError("preferences: expected a JSON object")
-        for key in ("eta", "lambda"):
-            if key not in obj:
-                raise ValueError(f"preferences: missing field {key!r}")
+        eta, lambda0 = _fields("preferences", obj, "eta", "lambda")
         spec = GainLossSpec.from_dict(obj["gain_loss"]) if "gain_loss" in obj else GainLossSpec.linear()
         return cls(
-            eta=float(obj["eta"]),
-            lambda0=float(obj["lambda"]),
-            gamma=float(obj.get("gamma", 1.0)),
+            eta=eta,
+            lambda0=lambda0,
+            gamma=obj.get("gamma", 1.0),
             gain_loss=spec,
         )
 
@@ -145,6 +144,7 @@ def cutoff_probability(prefs: Preferences) -> float:
 
 def eta_for_cutoff(p_star: float, lambda0: float) -> float:
     """Gain-loss weight that produces the given cutoff at fixed ``lambda0``."""
+    p_star, lambda0 = _finite("p_star", p_star), _finite("lambda", lambda0)
     if not 0 <= p_star <= 1:
         raise ValueError(f"p_star must lie in [0, 1], got {p_star}")
     if not lambda0 > 1:

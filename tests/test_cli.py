@@ -229,17 +229,71 @@ class TestErrors:
         assert code == 1
         assert "--grid" in err
 
-
-class TestQuadratureEnv:
-    def test_override_accepted(self, cli, monkeypatch):
-        monkeypatch.setenv("BBL_QUAD_TOL", "1e-6")
-        code, out, _ = cli("equilibrium", "--dist", NORMAL, "--lambda", "2.25",
-                           "--grid", "0.4:0.6:0.1")
-        assert code == 0
-
-    def test_invalid_value_rejected(self, cli, monkeypatch):
-        monkeypatch.setenv("BBL_QUAD_TOL", "not-a-number")
-        code, _, err = cli("equilibrium", "--dist", NORMAL, "--lambda", "2.25",
-                           "--grid", "0.4:0.6:0.1")
+    @pytest.mark.parametrize("grid", ["0.1:inf:0.1", "0.1:0.5", "a:0.5:0.1"])
+    def test_malformed_grid(self, cli, grid):
+        code, out, err = cli("equilibrium", "--dist", NORMAL, "--lambda", "2.25", "--grid", grid)
         assert code == 1
-        assert "BBL_QUAD_TOL" in err
+        assert out == ""
+        assert "--grid" in err
+
+    @pytest.mark.parametrize("bounds", ["nan:1", "0:1:2"])
+    def test_bad_bounds(self, cli, bounds):
+        asset = json.dumps({"r_f": 1.0, "excess": {"normal": {"mean": 0.05, "sd": 0.2}}})
+        code, out, err = cli("portfolio", "--asset", asset, "--agent", "rational", f"--bounds={bounds}")
+        assert code == 1
+        assert out == ""
+        assert "--bounds" in err
+
+    def test_missing_r_f_named(self, cli):
+        code, out, err = cli("portfolio", "--asset", '{"excess":{"normal":{"mean":0.05,"sd":0.2}}}',
+                             "--agent", "rational")
+        assert code == 1
+        assert out == ""
+        assert "'r_f'" in err
+
+    @pytest.mark.parametrize("argv,field", [
+        (("beliefs", "--lottery", '{"payoffs":[0,1],"probs":[NaN,1.0]}', "--prefs", PREFS), "probs[0]"),
+        (("beliefs", "--lottery", '{"payoffs":[0,Infinity],"probs":[0.5,0.5]}', "--prefs", PREFS),
+         "payoffs[1]"),
+        (("beliefs", "--lottery", '{"payoffs":[0,1e400],"probs":[0.5,0.5]}', "--prefs", PREFS),
+         "payoffs[1]"),
+        (("beliefs", "--lottery", '{"payoffs":7,"probs":[1.0]}', "--prefs", PREFS), "payoffs"),
+        (("beliefs", "--lottery", '{"payoffs":[1,2],"probs":[0.5,0.5],"utility":{"kind":"power","rho":NaN}}',
+          "--prefs", PREFS), "utility.rho"),
+        (("timing", "--lottery", LOTTERY, "--prefs", '{"eta":NaN,"lambda":2.25}'), "eta"),
+        (("timing", "--lottery", LOTTERY, "--prefs", '{"eta":0.8,"lambda":2.25,"gamma":NaN}'), "gamma"),
+        (("beliefs", "--lottery", LOTTERY, "--prefs",
+          '{"eta":0.8,"lambda":2.25,"gain_loss":{"kind":"general","beta":NaN,"kappa":1}}'), "gain_loss.beta"),
+        (("beliefs", "--lottery", LOTTERY, "--prefs",
+          '{"eta":0.8,"lambda":2.25,"gain_loss":{"kind":"general","beta":1,"kappa":Infinity}}'),
+         "gain_loss.kappa"),
+        (("pstar", "--eta", "0.8", "--lambda", "inf"), "lambda"),
+        (("pstar", "--p-star", "0.5", "--lambda", "nan"), "lambda"),
+        (("equilibrium", "--dist", NORMAL, "--lambda", "inf", "--grid", "0.4:0.6:0.1"), "lambda"),
+        (("portfolio", "--asset", '{"r_f":NaN,"excess":{"normal":{"mean":0.05,"sd":0.2}}}',
+          "--agent", "rational"), "r_f"),
+        (("compare", "--dist-a", NORMAL, "--dist-b", '{"normal":[0,1]}', "--prefs", PREFS,
+          "--agent", "naive"), "distribution.normal"),
+        (("compare", "--dist-a", NORMAL, "--dist-b", '{"mixture":3}', "--prefs", PREFS,
+          "--agent", "naive"), "distribution.mixture"),
+    ], ids=["probs-nan", "payoffs-inf", "payoffs-overflow", "payoffs-not-list", "rho-nan", "eta-nan",
+            "gamma-nan", "beta-nan", "kappa-inf", "pstar-lambda-inf", "pstar-inverse-lambda-nan",
+            "equilibrium-lambda-inf", "asset-r_f-nan", "normal-not-object", "mixture-not-list"])
+    def test_non_finite_or_malformed_input_named(self, cli, argv, field):
+        code, out, err = cli(*argv)
+        assert code == 1
+        assert out == ""
+        assert field in err
+
+    @pytest.mark.parametrize("argv", [
+        ("beliefs", "--lottery", '{"payoffs":[-1e308,1e308],"probs":[0.5,0.5]}', "--prefs", PREFS),
+        ("pstar", "--eta", "1e-300", "--lambda", "1.000000000000001"),
+        ("equilibrium", "--dist", '{"normal":{"mean":1.7e308,"sd":1}}', "--lambda", "2.25",
+         "--grid", "0.4:0.6:0.1", "--format", "csv"),
+    ], ids=["beliefs-json", "pstar", "equilibrium-csv"])
+    def test_non_finite_result_is_numerical_failure(self, cli, argv):
+        # finite inputs whose result overflows: nothing is printed
+        code, out, err = cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
