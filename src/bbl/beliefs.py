@@ -113,6 +113,15 @@ class ConsumptionUtility:
             return np.log(z)
         return z ** (1.0 - self.rho) / (1.0 - self.rho)
 
+    def marginal_array(self, z: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`marginal`; the caller guarantees the domain."""
+        z = np.asarray(z, dtype=float)
+        if self.kind == "linear":
+            return np.ones_like(z)
+        if self.kind == "log":
+            return 1.0 / z
+        return z ** -self.rho
+
     def to_dict(self) -> dict:
         if self.kind == "power":
             return {"kind": "power", "rho": self.rho}
@@ -245,6 +254,17 @@ def gain_probability(lottery: DiscreteLottery, expectation: float) -> float:
     return math.fsum(p for p, u in zip(lottery.probs, lottery.utilities) if u >= expectation)
 
 
+def _tilt_factors(p_g: float, p_l: float, m_g: float, m_l: float,
+                  target: float) -> tuple[float, float] | None:
+    """Factors ``(c_g, c_l)`` scaling the gain and loss regions of a distribution
+    (masses ``p_g``, ``p_l``; utility moments ``m_g``, ``m_l``) so that the total
+    mass is 1 and the mean utility is ``target``; None when the system is singular."""
+    det = p_g * m_l - p_l * m_g
+    if det == 0:
+        return None
+    return (m_l - target * p_l) / det, (target * p_g - m_g) / det
+
+
 def canonical_beliefs(lottery: DiscreteLottery, target_expectation: float) -> tuple[float, ...]:
     """A belief vector with the given subjective expectation.
 
@@ -272,12 +292,10 @@ def canonical_beliefs(lottery: DiscreteLottery, target_expectation: float) -> tu
     p_l = math.fsum(ps for ps, g in zip(p, gain) if not g)
     m_g = math.fsum(ps * us for ps, us, g in zip(p, u, gain) if g)
     m_l = math.fsum(ps * us for ps, us, g in zip(p, u, gain) if not g)
-    det = p_g * m_l - p_l * m_g
-    if p_g > 0 and p_l > 0 and det != 0:
-        c_g = (m_l - t * p_l) / det
-        c_l = (t * p_g - m_g) / det
-        if c_g >= 0 and c_l >= 0:
-            return tuple(ps * (c_g if g else c_l) for ps, g in zip(p, gain))
+    factors = _tilt_factors(p_g, p_l, m_g, m_l, t) if p_g > 0 and p_l > 0 else None
+    if factors is not None and factors[0] >= 0 and factors[1] >= 0:
+        c_g, c_l = factors
+        return tuple(ps * (c_g if g else c_l) for ps, g in zip(p, gain))
     # degenerate region: put all mass on the extreme states
     theta = (t - lo) / (hi - lo)
     q = [0.0] * lottery.size

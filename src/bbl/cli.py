@@ -20,7 +20,7 @@ from .beliefs import ConsumptionUtility, DiscreteLottery, solve_optimal_beliefs
 from .distributions import ContinuousDistribution, compare
 from .equilibrium import _fmt
 from .errors import ConvergenceError, _finite
-from .oracles import grid_search_alpha, grid_search_beliefs
+from .oracles import _grid_step, grid_search_alpha, grid_search_beliefs
 from .portfolio import (
     DEFAULT_BOUNDS,
     Asset,
@@ -212,9 +212,11 @@ def _cmd_portfolio(args) -> int:
 def _cmd_equilibrium(args) -> int:
     dist = ContinuousDistribution.from_dict(_load_json("--dist", args.dist))
     start, end, step = _parse_colon("--grid", args.grid, ("start", "end", "step"))
-    if step <= 0 or end < start:
-        raise ValueError(f"argument --grid: need start <= end and step > 0, got {args.grid!r}")
-    points = eq.sweep(dist, args.lambda0, eq.default_grid(start, end, step))
+    try:
+        grid = eq.default_grid(start, end, step)
+    except ValueError as e:
+        raise ValueError(f"argument --grid: {e}") from None
+    points = eq.sweep(dist, args.lambda0, grid)
     if args.format == "csv":
         buf = io.StringIO()
         eq.write_sweep_csv(points, buf)
@@ -240,6 +242,7 @@ def _random_prefs(rng: np.random.Generator) -> Preferences:
 
 def _cmd_verify(args) -> int:
     if args.target == "beliefs":
+        _grid_step(args.step, "argument --step")
         if args.random > 0:
             rng = np.random.default_rng(args.seed)
             failures = 0

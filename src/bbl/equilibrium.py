@@ -27,6 +27,7 @@ from .distributions import (
     sophisticated_value_at,
     subjective_expectation,
 )
+from .errors import _finite
 from .preferences import Preferences, eta_for_cutoff
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 CSV_COLUMNS = ("p_star", "eta", "pi_rational", "pi_naive", "pi_sophisticated")
+_MAX_GRID_ROWS = 100_000  # a 100,000-row sweep takes seconds; a longer grid is an input error
 
 
 @dataclass(frozen=True)
@@ -78,8 +80,18 @@ def sophisticated_price(dist: ContinuousDistribution, prefs: Preferences) -> flo
 
 
 def default_grid(start: float = 0.05, end: float = 0.95, step: float = 0.01) -> tuple[float, ...]:
-    """Inclusive cutoff grid; the end point is kept when within half a step."""
-    n = int(math.floor((end - start) / step + 0.5)) + 1
+    """Inclusive cutoff grid; the end point is kept when within half a step.
+
+    ValueError, before any grid is built, for a non-finite argument, ``end < start``,
+    ``step <= 0`` or a grid of more than ``_MAX_GRID_ROWS`` rows.
+    """
+    start, end, step = (_finite(name, v) for name, v in (("start", start), ("end", end), ("step", step)))
+    if end < start or step <= 0:
+        raise ValueError(f"grid needs start <= end and step > 0, got {start}:{end}:{step}")
+    half_steps = (end - start) / step + 0.5  # inf when the span overflows
+    if not half_steps < _MAX_GRID_ROWS:
+        raise ValueError(f"grid {start}:{end}:{step} has more than {_MAX_GRID_ROWS} rows")
+    n = int(math.floor(half_steps)) + 1
     return tuple(start + i * step for i in range(n))
 
 
@@ -87,6 +99,8 @@ def sweep(dist: ContinuousDistribution, lambda0: float,
           p_star_grid: Iterable[float] | None = None) -> list[EquilibriumPoint]:
     """Equilibrium prices across a grid of cutoffs at fixed ``lambda0``."""
     grid = tuple(p_star_grid) if p_star_grid is not None else default_grid()
+    if not grid:
+        raise ValueError("p_star grid is empty")
     if any(not 0.0 < p < 1.0 for p in grid):
         raise ValueError("p_star grid must lie strictly inside (0, 1)")
     mean = dist.mean()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .beliefs import DiscreteLottery
+from .errors import _finite
 from .preferences import GENERAL, Preferences
 
 __all__ = ["grid_search_beliefs", "grid_search_alpha", "simpson_integral"]
@@ -75,6 +76,14 @@ def _simplex_grid(n_states: int, steps: int) -> np.ndarray:
     return np.array(rows, dtype=float) / steps
 
 
+def _grid_step(step, name: str = "step") -> float:
+    """``step`` as a float; ValueError naming ``name`` unless it is finite and in [0.01, 1]."""
+    step = _finite(name, step)
+    if not 0.01 <= step <= 1.0:
+        raise ValueError(f"{name} must lie in [0.01, 1], got {step}")
+    return step
+
+
 def grid_search_beliefs(lottery: DiscreteLottery, prefs: Preferences,
                         step: float = 0.01) -> tuple[tuple[float, ...], float]:
     """Exhaustive simplex-grid maximum of the belief objective.
@@ -84,8 +93,7 @@ def grid_search_beliefs(lottery: DiscreteLottery, prefs: Preferences,
     """
     if lottery.size > _MAX_STATES:
         raise ValueError(f"grid search refuses lotteries with more than {_MAX_STATES} states")
-    if step < 0.01:
-        raise ValueError(f"grid step below 0.01 is not supported, got {step}")
+    step = _grid_step(step)
     u = np.array([lottery.utility.value(z) for z in lottery.payoffs])
     p = np.array(lottery.probs)
     if lottery.size == 1:

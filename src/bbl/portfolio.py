@@ -4,27 +4,30 @@ Wealth is ``r_f + alpha * R`` where ``R`` is the realized excess return.
 Three solvers share the quadrature grid of the excess-return distribution:
 
 * ``rational_alpha``      -- maximizes objective expected utility;
-* ``naive_alpha``         -- damped fixed point between the optimal-belief
-  tilt of the density (at the current share) and the share maximizing
-  subjective expected utility under that tilt;
+* ``naive_alpha``         -- a fixed point between the optimal-belief tilt of
+  the density (at the current share) and the share maximizing subjective
+  expected utility under that tilt, found as a bracketed root of the gap
+  ``argmax_a obj_alpha(a) - alpha`` on each sign region of the share;
 * ``sophisticated_alpha`` -- maximizes expected utility with the loss
   region (the lower ``1 - p_star`` quantile region of the induced utility
   payoff) overweighted by ``lambda``.
 
-All objectives are concave in ``alpha`` on each sign region, so they are
-optimized by golden-section search (the sign-split sophisticated objective
-gets a bracketing pass first); bounds are clipped to the range where
-wealth stays inside the utility domain.
+All objectives are concave in ``alpha`` on each sign region.  The rational
+and sophisticated ones are optimized by golden-section search (the
+sign-split sophisticated objective gets a bracketing pass first); the naive
+inner maximum is the root of the first-order condition.  Bounds are clipped
+to the range where wealth stays inside the utility domain.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import ConsumptionUtility
+from .beliefs import ConsumptionUtility, _tilt_factors
 from .distributions import ContinuousDistribution
 from .errors import DomainError, _fields, _finite
 from .preferences import LINEAR, Preferences, cutoff_probability
@@ -44,10 +47,12 @@ __all__ = [
 DEFAULT_BOUNDS = (-10.0, 10.0)
 
 _GOLDEN_X_TOL = 1e-10
+_ROOT_X_TOL = 1e-12
 _FIXED_POINT_TOL = 1e-8
-_FIXED_POINT_DAMPING = 0.5
-_FIXED_POINT_MAX_ITER = 200
+_GAP_SAMPLES = 7  # evenly spaced gap evaluations per sign region of the naive share
+_ZERO_OFFSET = 1e-6  # a sign region's sample next to alpha = 0, as a fraction of its width
 _BRACKET_POINTS = 33
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,9 @@ class PortfolioSolution:
     ``belief_expectation`` is the expectation of consumption utility under
     the agent's operative beliefs at the solution; ``r_ce`` the excess
     return whose sure receipt matches it (undefined at ``alpha = 0``).
+    ``iterations`` counts golden-section steps for the rational and
+    sophisticated agents, and evaluations of the fixed-point gap (each an
+    inner maximization) for the naive agent.
     """
 
     alpha: float
@@ -118,6 +126,49 @@ def _golden_section_max(fn, lo: float, hi: float, xtol: float = _GOLDEN_X_TOL):
         iters += 1
     x = c if fc >= fd else d
     return x, max(fc, fd), iters
+
+
+def _brent_root(fn, a: float, fa: float, b: float, fb: float, xtol: float = _ROOT_X_TOL):
+    """Root of ``fn`` between ``a`` and ``b``, where ``fa`` and ``fb`` differ in sign.
+
+    Brent's (1973) method: inverse quadratic or secant steps, with a bisection
+    step whenever they would not shrink the bracket fast enough.  Returns
+    (x, fn(x)) with x within ``xtol`` of a sign change.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if fb * fc > 0:
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * _EPS * abs(b) + 0.5 * xtol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b, fb
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = fn(b)
 
 
 def _feasible_bounds(asset: Asset, utility: ConsumptionUtility, bounds) -> tuple[float, float]:
@@ -242,13 +293,9 @@ def _belief_tilt(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):
     lu = _utility_values(utility, r_f, alpha, lx)
     if gu is None or lu is None:
         raise DomainError(f"wealth leaves the {utility.kind} utility domain at share {alpha}")
-    p_g, p_l = float(np.sum(gw)), float(np.sum(lw))
-    m_g, m_l = float(gw @ gu), float(lw @ lu)
-    det = p_g * m_l - p_l * m_g
-    if det == 0:
-        return 1.0, 1.0, target
-    c_g = (m_l - target * p_l) / det
-    c_l = (target * p_g - m_g) / det
+    factors = _tilt_factors(float(np.sum(gw)), float(np.sum(lw)), float(gw @ gu), float(lw @ lu),
+                            target)
+    c_g, c_l = (1.0, 1.0) if factors is None else factors
     return c_g, c_l, target
 
 
@@ -260,27 +307,49 @@ def naive_fixed_objective(asset: Asset, prefs: Preferences,
     return _naive_step_objective(grid, utility, alpha)
 
 
-def _naive_step_objective(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):
+def _naive_beliefs(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):
+    """Nodes and subjective weights of the beliefs tilted at the share ``alpha``.
+
+    At ``alpha = 0`` a constant payoff gives no reason to tilt: beliefs stay objective.
+    """
     if alpha == 0.0:
-        # a constant payoff gives no reason to tilt: beliefs stay objective
-        def objective(a: float) -> float:
-            return _objective_or_ninf(_utility_values(utility, grid.asset.r_f, a, grid.x), grid.w)
-
-        return objective
-
+        return grid.x, grid.w
     c_g, c_l, _ = _belief_tilt(grid, utility, alpha)
     gx, gw = grid.gain_nodes(alpha)
     lx, lw = grid.loss_nodes(alpha)
+    return np.concatenate((gx, lx)), np.concatenate((c_g * gw, c_l * lw))
+
+
+def _naive_step_objective(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):
+    x, w = _naive_beliefs(grid, utility, alpha)
     r_f = grid.asset.r_f
 
     def objective(a: float) -> float:
-        gu = _utility_values(utility, r_f, a, gx)
-        lu = _utility_values(utility, r_f, a, lx)
-        if gu is None or lu is None:
-            return -math.inf
-        return c_g * float(gw @ gu) + c_l * float(lw @ lu)
+        return _objective_or_ninf(_utility_values(utility, r_f, a, x), w)
 
     return objective
+
+
+def _naive_best_share(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float,
+                      lo: float, hi: float) -> float:
+    """Share in [lo, hi] maximizing subjective expected utility under the beliefs for ``alpha``.
+
+    The objective ``sum W u(r_f + a x)`` is concave, so its maximum is the root
+    of ``sum W x u'(r_f + a x)``, or the bound toward which that slope points
+    when it has one sign on the whole interval.
+    """
+    x, w = _naive_beliefs(grid, utility, alpha)
+    wx, r_f = w * x, grid.asset.r_f
+
+    def slope(a: float) -> float:
+        return float(wx @ utility.marginal_array(r_f + a * x))
+
+    s_lo, s_hi = slope(lo), slope(hi)
+    if s_lo <= 0:
+        return lo
+    if s_hi >= 0:
+        return hi
+    return _brent_root(slope, lo, s_lo, hi, s_hi)[0]
 
 
 def _total_utility_at(grid: _AssetGrid, prefs: Preferences,
@@ -328,50 +397,53 @@ def naive_alpha(asset: Asset, prefs: Preferences,
                 bounds=DEFAULT_BOUNDS) -> PortfolioSolution:
     """Fixed point of belief formation given the share and share choice given beliefs.
 
-    Damped iteration from several starts; among the fixed points reached the
-    one with the highest anticipatory-plus-gain-loss utility is returned
-    (lowest share on ties).
+    The fixed points are the roots of ``gap(alpha) = best share under the
+    beliefs for alpha - alpha``.  ``gap`` is continuous on each sign region of
+    the share but may jump at 0, where the loss region switches sides, so each
+    region is sampled on a few evenly spaced shares (an end at 0 moved just
+    inside the region) and every sign change is
+    closed by Brent's method; a root counts only where ``|gap|`` is within
+    ``_FIXED_POINT_TOL`` (a sign change that survives the collapse of its bracket
+    is a jump).  A sampled share, 0 included, is a fixed point on the same test.
+    Among the fixed points the one with the highest anticipatory-plus-gain-loss
+    utility is returned (lowest share on ties).  Without one, the evaluated share
+    with the smallest ``|gap|`` is returned with ``converged=False``.
     """
     lo, hi = _feasible_bounds(asset, utility, bounds)
     grid = _AssetGrid(asset, prefs)
+    evaluated: list[tuple[float, float]] = []  # (share, gap) in evaluation order
 
-    alpha_re = rational_alpha(asset, utility, bounds).alpha
-    starts = []
-    for s in (alpha_re, -alpha_re, lo, hi):
-        s = min(max(s, lo), hi)
-        if all(abs(s - t) > 1e-9 for t in starts):
-            starts.append(s)
+    def gap(alpha: float) -> float:
+        g = _naive_best_share(grid, utility, alpha, lo, hi) - alpha
+        evaluated.append((alpha, g))
+        return g
 
-    converged_points: list[tuple[float, int]] = []
-    fallback: tuple[float, float, int] | None = None  # (gap, alpha, iterations)
-    for start in starts:
-        alpha = start
-        iterations = 0
-        gap = math.inf
-        for iterations in range(1, _FIXED_POINT_MAX_ITER + 1):
-            objective = _naive_step_objective(grid, utility, alpha)
-            best, _, _ = _maximize(objective, lo, hi)
-            gap = best - alpha
-            if abs(gap) <= _FIXED_POINT_TOL:
-                break
-            alpha = alpha + _FIXED_POINT_DAMPING * gap
-        if abs(gap) <= _FIXED_POINT_TOL:
-            if all(abs(alpha - other) > 1e-6 for other, _ in converged_points):
-                converged_points.append((alpha, iterations))
-        elif fallback is None or abs(gap) < fallback[0]:
-            fallback = (abs(gap), alpha, iterations)
+    candidates = []
+    if lo <= 0.0 <= hi and abs(gap(0.0)) <= _FIXED_POINT_TOL:
+        candidates.append(0.0)
+    regions = ([(lo, min(hi, 0.0))] if lo < 0 else []) + ([(max(lo, 0.0), hi)] if hi > 0 else [])
+    for a, b in regions:
+        offset = _ZERO_OFFSET * (b - a)
+        shares = sorted(set(np.linspace(a + offset if a == 0 else a, b - offset if b == 0 else b,
+                                        _GAP_SAMPLES).tolist()))
+        gaps = [gap(s) for s in shares]
+        candidates += [s for s, g in zip(shares, gaps) if abs(g) <= _FIXED_POINT_TOL]
+        for i in range(len(shares) - 1):
+            if gaps[i] * gaps[i + 1] < 0:
+                root, g = _brent_root(gap, shares[i], gaps[i], shares[i + 1], gaps[i + 1])
+                if abs(g) <= _FIXED_POINT_TOL:
+                    candidates.append(root)
 
-    if not converged_points:
-        alpha, iterations = fallback[1], fallback[2]
-        return _finish_naive(grid, prefs, utility, alpha, iterations, converged=False)
+    if not candidates:
+        alpha = min(evaluated, key=lambda pair: abs(pair[1]))[0]
+        return _finish_naive(grid, prefs, utility, alpha, len(evaluated), converged=False)
 
-    best_alpha, best_iters = converged_points[0]
-    best_total = _total_utility_at(grid, prefs, utility, best_alpha)
-    for alpha, iters in converged_points[1:]:
+    best_alpha, best_total = None, -math.inf
+    for alpha in sorted(candidates):
         total = _total_utility_at(grid, prefs, utility, alpha)
-        if total > best_total + 1e-12 or (abs(total - best_total) <= 1e-12 and alpha < best_alpha):
-            best_alpha, best_iters, best_total = alpha, iters, total
-    return _finish_naive(grid, prefs, utility, best_alpha, best_iters, converged=True)
+        if best_alpha is None or total > best_total + 1e-12:
+            best_alpha, best_total = alpha, total
+    return _finish_naive(grid, prefs, utility, best_alpha, len(evaluated), converged=True)
 
 
 def _belief_finish(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):

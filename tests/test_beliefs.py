@@ -53,6 +53,13 @@ class TestLottery:
         lg = DiscreteLottery((1.0, math.e), (0.5, 0.5), ConsumptionUtility("log"))
         assert lg.utilities == pytest.approx((0.0, 1.0))
 
+    def test_marginal_array_matches_scalar(self):
+        z = np.array([0.25, 1.0, 3.5])
+        for utility in (ConsumptionUtility(), ConsumptionUtility("log"), ConsumptionUtility("power", 2.0),
+                        ConsumptionUtility("power", 0.5)):
+            expected = [utility.marginal(v) for v in z]
+            assert utility.marginal_array(z) == pytest.approx(expected, rel=1e-15)
+
     def test_log_domain(self):
         with pytest.raises(DomainError):
             DiscreteLottery((0.0, 1.0), (0.5, 0.5), ConsumptionUtility("log")).utilities

@@ -236,6 +236,20 @@ class TestErrors:
         assert out == ""
         assert "--grid" in err
 
+    @pytest.mark.parametrize("grid", ["-1e308:1e308:1", "0.1:0.5:0"])
+    def test_grid_out_of_range(self, cli, grid):
+        code, out, err = cli("equilibrium", "--dist", NORMAL, "--lambda", "2.25", f"--grid={grid}")
+        assert code == 1
+        assert out == ""
+        assert "--grid" in err
+
+    @pytest.mark.parametrize("step", ["nan", "inf", "2"])
+    def test_bad_verify_step(self, cli, step):
+        code, out, err = cli("verify", "beliefs", "--lottery", LOTTERY, "--prefs", PREFS, "--step", step)
+        assert code == 1
+        assert out == ""
+        assert "--step" in err
+
     @pytest.mark.parametrize("bounds", ["nan:1", "0:1:2"])
     def test_bad_bounds(self, cli, bounds):
         asset = json.dumps({"r_f": 1.0, "excess": {"normal": {"mean": 0.05, "sd": 0.2}}})

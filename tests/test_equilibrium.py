@@ -146,6 +146,30 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(N11, LAM, [0.0, 0.5])
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            sweep(N11, LAM, [])
+
+    @pytest.mark.parametrize("args", [
+        (0.9, 0.1, 0.01),            # end < start
+        (0.1, 0.5, 0.0),             # zero step
+        (0.1, 0.5, -0.1),            # negative step
+        (math.nan, 0.5, 0.1),
+        (0.1, math.inf, 0.1),
+        (0.1, 0.5, math.nan),
+        (-1e308, 1e308, 1.0),        # the span overflows
+        (0.05, 0.95, 5e-6),          # 180,001 rows
+    ])
+    def test_default_grid_rejects(self, args):
+        with pytest.raises(ValueError):
+            default_grid(*args)
+
+    def test_default_grid_long_but_allowed(self):
+        grid = default_grid(0.05, 0.95, 1e-5)
+        assert len(grid) == 90_001
+        assert grid[0] == 0.05 and grid[-1] == pytest.approx(0.95, abs=1e-12)
+        assert default_grid(0.3, 0.3, 0.1) == (0.3,)
+
 
 class TestCsv:
     def test_format(self, figure_sweep):

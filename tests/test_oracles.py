@@ -40,6 +40,12 @@ class TestGridSearchBeliefs:
         with pytest.raises(ValueError):
             grid_search_beliefs(lot, PREFS, step=0.001)
 
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -0.5, 1.5])
+    def test_refuses_non_finite_and_out_of_range_steps(self, step):
+        lot = DiscreteLottery((0.0, 1.0), (0.5, 0.5))
+        with pytest.raises(ValueError, match="step"):
+            grid_search_beliefs(lot, PREFS, step=step)
+
     def test_solver_dominates_grid(self):
         rng = np.random.default_rng(41)
         for _ in range(20):

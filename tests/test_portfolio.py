@@ -1,3 +1,7 @@
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
 from bbl import (
@@ -24,6 +28,33 @@ LOG = ConsumptionUtility("log")
 
 def prefs_for(p_star, lam=2.25):
     return Preferences(eta=eta_for_cutoff(p_star, lam), lambda0=lam)
+
+
+def naive_corpus(seed=20261018, per_cell=6):
+    """Seeded (asset, prefs, utility) triples: normal, two-component mixture and
+    tabulated excess returns, each with linear, log and power utility."""
+    rng = np.random.default_rng(seed)
+    z = np.linspace(-0.9, 0.9, 13)
+    cases = []
+    for kind in ("normal", "mixture", "tabulated"):
+        for utility_kind in ("linear", "log", "power"):
+            for _ in range(per_cell):
+                if kind == "normal":
+                    excess = ContinuousDistribution.normal(rng.uniform(-0.03, 0.1), rng.uniform(0.1, 0.3))
+                elif kind == "mixture":
+                    w = rng.uniform(0.05, 0.3)
+                    excess = ContinuousDistribution.mixture(
+                        [(1.0 - w, rng.uniform(0.0, 0.12), rng.uniform(0.08, 0.2)),
+                         (w, rng.uniform(-0.4, -0.05), rng.uniform(0.05, 0.2))])
+                else:
+                    f = rng.uniform(0.0, 1.0, z.size) * np.exp(-((z - 0.1) / 0.5) ** 2)
+                    f /= np.sum((f[1:] + f[:-1]) * np.diff(z)) / 2.0
+                    excess = ContinuousDistribution.tabulated(tuple(z), tuple(f))
+                utility = (ConsumptionUtility("power", float(rng.choice([0.5, 2.0, 3.0])))
+                           if utility_kind == "power" else ConsumptionUtility(utility_kind))
+                prefs = prefs_for(rng.uniform(0.1, 0.9), rng.uniform(1.5, 3.0))
+                cases.append((Asset(1.0, excess), prefs, utility))
+    return cases
 
 
 class TestRational:
@@ -103,6 +134,51 @@ class TestNaive:
     def test_degenerate_cutoff_rejected(self, calibrated_asset, power2):
         with pytest.raises(DomainError):
             naive_alpha(calibrated_asset, Preferences(eta=1.0, lambda0=2.25), power2)
+
+
+class TestNaiveCorpus:
+    BOUNDS = (-10.0, 10.0)
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        return [(asset, prefs, utility, naive_alpha(asset, prefs, utility, self.BOUNDS))
+                for asset, prefs, utility in naive_corpus()]
+
+    def test_converged_shares_are_grid_fixed_points(self, solved):
+        spacing = (self.BOUNDS[1] - self.BOUNDS[0]) / 2000
+        kinds = set()
+        for asset, prefs, utility, sol in solved:
+            if not sol.converged:
+                continue
+            kinds.add((asset.excess.kind, utility.kind))
+            objective = naive_fixed_objective(asset, prefs, utility, sol.alpha)
+            assert sol.value == objective(sol.alpha)
+            grid_alpha, grid_value = grid_search_alpha(objective, self.BOUNDS)
+            assert grid_value - sol.value <= 1e-9 * max(1.0, abs(sol.value))
+            assert abs(grid_alpha - sol.alpha) <= spacing
+        # every distribution kind and utility kind has converged cases
+        assert len(kinds) == 9
+
+    def test_non_converged_share_is_evaluated(self, solved):
+        for asset, prefs, utility, sol in solved:
+            lo, hi = self.BOUNDS
+            assert lo <= sol.alpha <= hi
+            assert sol.iterations > 0
+            if not sol.converged:
+                objective = naive_fixed_objective(asset, prefs, utility, sol.alpha)
+                assert sol.value == objective(sol.alpha)
+
+    @pytest.mark.parametrize("eta", [0.70, 0.75, 0.80, 0.85])
+    def test_readme_asset_has_no_fixed_point(self, eta, power2):
+        prefs = Preferences(eta=eta, lambda0=2.25)
+        sol = naive_alpha(NORMAL_ASSET, prefs, power2)
+        assert not sol.converged
+        objective = naive_fixed_objective(NORMAL_ASSET, prefs, power2, sol.alpha)
+        assert sol.value == objective(sol.alpha)
+
+    def test_cli_import_leaves_scipy_out(self):
+        code = "import sys, bbl.cli; sys.exit('scipy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 class TestSophisticated:
