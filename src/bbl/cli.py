@@ -84,6 +84,14 @@ def _parse_colon(name: str, text: str, fields: tuple[str, ...]) -> tuple[float, 
     return tuple(_finite(f"argument {name}: {field}", v) for field, v in zip(fields, parts))
 
 
+def _checked(name: str, fn, *args):
+    """``fn(*args)``, with its ValueError re-raised as an error of argument ``name``."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        raise ValueError(f"argument {name}: {e}") from None
+
+
 def _emit_text(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -212,11 +220,7 @@ def _cmd_portfolio(args) -> int:
 def _cmd_equilibrium(args) -> int:
     dist = ContinuousDistribution.from_dict(_load_json("--dist", args.dist))
     start, end, step = _parse_colon("--grid", args.grid, ("start", "end", "step"))
-    try:
-        grid = eq.default_grid(start, end, step)
-    except ValueError as e:
-        raise ValueError(f"argument --grid: {e}") from None
-    points = eq.sweep(dist, args.lambda0, grid)
+    points = eq.sweep(dist, args.lambda0, _checked("--grid", eq.default_grid, start, end, step))
     if args.format == "csv":
         buf = io.StringIO()
         eq.write_sweep_csv(points, buf)
@@ -242,7 +246,7 @@ def _random_prefs(rng: np.random.Generator) -> Preferences:
 
 def _cmd_verify(args) -> int:
     if args.target == "beliefs":
-        _grid_step(args.step, "argument --step")
+        _checked("--step", _grid_step, args.step)
         if args.random > 0:
             rng = np.random.default_rng(args.seed)
             failures = 0

@@ -76,11 +76,11 @@ def _simplex_grid(n_states: int, steps: int) -> np.ndarray:
     return np.array(rows, dtype=float) / steps
 
 
-def _grid_step(step, name: str = "step") -> float:
-    """``step`` as a float; ValueError naming ``name`` unless it is finite and in [0.01, 1]."""
-    step = _finite(name, step)
+def _grid_step(step) -> float:
+    """``step`` as a float; ValueError naming ``step`` unless it is finite and in [0.01, 1]."""
+    step = _finite("step", step)
     if not 0.01 <= step <= 1.0:
-        raise ValueError(f"{name} must lie in [0.01, 1], got {step}")
+        raise ValueError(f"step must lie in [0.01, 1], got {step}")
     return step
 
 

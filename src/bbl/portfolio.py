@@ -424,8 +424,7 @@ def naive_alpha(asset: Asset, prefs: Preferences,
     regions = ([(lo, min(hi, 0.0))] if lo < 0 else []) + ([(max(lo, 0.0), hi)] if hi > 0 else [])
     for a, b in regions:
         offset = _ZERO_OFFSET * (b - a)
-        shares = sorted(set(np.linspace(a + offset if a == 0 else a, b - offset if b == 0 else b,
-                                        _GAP_SAMPLES).tolist()))
+        shares = np.linspace(a + offset if a == 0 else a, b - offset if b == 0 else b, _GAP_SAMPLES).tolist()
         gaps = [gap(s) for s in shares]
         candidates += [s for s, g in zip(shares, gaps) if abs(g) <= _FIXED_POINT_TOL]
         for i in range(len(shares) - 1):
