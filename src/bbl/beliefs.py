@@ -224,10 +224,11 @@ def _check_belief_vector(lottery: DiscreteLottery, q) -> tuple[float, ...]:
     q = tuple(float(v) for v in q)
     if len(q) != lottery.size:
         raise ValueError(f"belief vector length {len(q)} does not match lottery size {lottery.size}")
-    if any(v < -1e-12 for v in q):
-        raise ValueError("belief vector must be nonnegative")
-    if abs(math.fsum(q) - 1.0) > 1e-9:
-        raise ValueError(f"belief vector must sum to 1, got {math.fsum(q)}")
+    if any(not v >= -1e-12 for v in q):
+        raise ValueError(f"belief vector q must be nonnegative, got {q}")
+    total = math.fsum(q)
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(f"belief vector q must sum to 1, got {total}")
     return q
 
 

@@ -12,11 +12,14 @@ Three solvers share the quadrature grid of the excess-return distribution:
   region (the lower ``1 - p_star`` quantile region of the induced utility
   payoff) overweighted by ``lambda``.
 
-All objectives are concave in ``alpha`` on each sign region.  The rational
-and sophisticated ones are optimized by golden-section search (the
-sign-split sophisticated objective gets a bracketing pass first); the naive
-inner maximum is the root of the first-order condition.  Bounds are clipped
-to the range where wealth stays inside the utility domain.
+Each maximization is of ``sum W u(r_f + a x)`` over nodes ``x`` with positive
+weights ``W``: the objective grid for the rational agent, the tilted beliefs
+for the naive inner step, and for the sophisticated agent on each sign region
+of the share the objective grid followed by that region's loss nodes weighted
+by ``lambda - 1``.  Such a sum is concave, so ``_best_share`` finds its maximum
+as the Brent root of the first-order condition, or the bound its slope points
+to.  Bounds are clipped to the range where wealth stays inside the utility
+domain.
 """
 
 from __future__ import annotations
@@ -46,12 +49,10 @@ __all__ = [
 
 DEFAULT_BOUNDS = (-10.0, 10.0)
 
-_GOLDEN_X_TOL = 1e-10
 _ROOT_X_TOL = 1e-12
 _FIXED_POINT_TOL = 1e-8
 _GAP_SAMPLES = 7  # evenly spaced gap evaluations per sign region of the naive share
 _ZERO_OFFSET = 1e-6  # a sign region's sample next to alpha = 0, as a fraction of its width
-_BRACKET_POINTS = 33
 _EPS = sys.float_info.epsilon
 
 
@@ -81,9 +82,10 @@ class PortfolioSolution:
     ``belief_expectation`` is the expectation of consumption utility under
     the agent's operative beliefs at the solution; ``r_ce`` the excess
     return whose sure receipt matches it (undefined at ``alpha = 0``).
-    ``iterations`` counts golden-section steps for the rational and
-    sophisticated agents, and evaluations of the fixed-point gap (each an
-    inner maximization) for the naive agent.
+    ``iterations`` counts evaluations of the first-order-condition slope for
+    the rational and sophisticated agents (over both sign regions for the
+    latter), and evaluations of the fixed-point gap (each an inner
+    maximization) for the naive agent.
     """
 
     alpha: float
@@ -102,30 +104,6 @@ class PortfolioSolution:
             "converged": self.converged,
             "iterations": self.iterations,
         }
-
-
-def _golden_section_max(fn, lo: float, hi: float, xtol: float = _GOLDEN_X_TOL):
-    """Maximize a unimodal function on [lo, hi]; returns (x, fn(x), iterations)."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    if hi - lo <= xtol:
-        mid = 0.5 * (lo + hi)
-        return mid, fn(mid), 0
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-    fc, fd = fn(c), fn(d)
-    iters = 0
-    while hi - lo > xtol and iters < 300:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = fn(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
-            fd = fn(d)
-        iters += 1
-    x = c if fc >= fd else d
-    return x, max(fc, fd), iters
 
 
 def _brent_root(fn, a: float, fa: float, b: float, fb: float, xtol: float = _ROOT_X_TOL):
@@ -330,26 +308,28 @@ def _naive_step_objective(grid: _AssetGrid, utility: ConsumptionUtility, alpha: 
     return objective
 
 
-def _naive_best_share(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float,
-                      lo: float, hi: float) -> float:
-    """Share in [lo, hi] maximizing subjective expected utility under the beliefs for ``alpha``.
+def _best_share(x: np.ndarray, w: np.ndarray, r_f: float, utility: ConsumptionUtility,
+                lo: float, hi: float) -> tuple[float, int]:
+    """Share in [lo, hi] maximizing ``sum w u(r_f + a x)`` for positive weights ``w``.
 
-    The objective ``sum W u(r_f + a x)`` is concave, so its maximum is the root
-    of ``sum W x u'(r_f + a x)``, or the bound toward which that slope points
-    when it has one sign on the whole interval.
+    The objective is concave, so its maximum is the root of the slope
+    ``sum w x u'(r_f + a x)``, or the bound toward which that slope points
+    when it has one sign on the whole interval.  Returns (share, slope
+    evaluations).
     """
-    x, w = _naive_beliefs(grid, utility, alpha)
-    wx, r_f = w * x, grid.asset.r_f
+    wx, calls = w * x, 0
 
     def slope(a: float) -> float:
+        nonlocal calls
+        calls += 1
         return float(wx @ utility.marginal_array(r_f + a * x))
 
     s_lo, s_hi = slope(lo), slope(hi)
     if s_lo <= 0:
-        return lo
+        return lo, calls
     if s_hi >= 0:
-        return hi
-    return _brent_root(slope, lo, s_lo, hi, s_hi)[0]
+        return hi, calls
+    return _brent_root(slope, lo, s_lo, hi, s_hi)[0], calls
 
 
 def _total_utility_at(grid: _AssetGrid, prefs: Preferences,
@@ -368,23 +348,18 @@ def _total_utility_at(grid: _AssetGrid, prefs: Preferences,
     return target + prefs.eta * (gain_term + prefs.lambda0 * loss_term)
 
 
-def _maximize(objective, lo: float, hi: float):
-    """Golden-section maximum of a concave objective with endpoint snapping."""
-    x_gs, f_gs, iters = _golden_section_max(objective, lo, hi)
-    best_x, best_f = x_gs, f_gs
-    for x in (lo, hi):
-        fx = objective(x)
-        if fx > best_f:
-            best_x, best_f = x, fx
-    return best_x, best_f, iters
+def _sign_regions(lo: float, hi: float) -> list[tuple[float, float]]:
+    """The parts ``[lo, 0]`` and ``[0, hi]`` of ``[lo, hi]`` that have positive width."""
+    return ([(lo, min(hi, 0.0))] if lo < 0 else []) + ([(max(lo, 0.0), hi)] if hi > 0 else [])
 
 
 def rational_alpha(asset: Asset, utility: ConsumptionUtility = ConsumptionUtility(),
                    bounds=DEFAULT_BOUNDS) -> PortfolioSolution:
     """Share maximizing objective expected utility on the given bounds."""
     lo, hi = _feasible_bounds(asset, utility, bounds)
-    objective = rational_objective(asset, utility)
-    alpha, value, iters = _maximize(objective, lo, hi)
+    grid = _AssetGrid(asset)
+    alpha, iters = _best_share(grid.x, grid.w, asset.r_f, utility, lo, hi)
+    value = float(grid.w @ utility.value_array(asset.r_f + alpha * grid.x))
     r_ce = None
     if alpha != 0.0:
         r_ce = (utility.inverse(value) - asset.r_f) / alpha
@@ -414,15 +389,15 @@ def naive_alpha(asset: Asset, prefs: Preferences,
     evaluated: list[tuple[float, float]] = []  # (share, gap) in evaluation order
 
     def gap(alpha: float) -> float:
-        g = _naive_best_share(grid, utility, alpha, lo, hi) - alpha
+        x, w = _naive_beliefs(grid, utility, alpha)
+        g = _best_share(x, w, asset.r_f, utility, lo, hi)[0] - alpha
         evaluated.append((alpha, g))
         return g
 
     candidates = []
     if lo <= 0.0 <= hi and abs(gap(0.0)) <= _FIXED_POINT_TOL:
         candidates.append(0.0)
-    regions = ([(lo, min(hi, 0.0))] if lo < 0 else []) + ([(max(lo, 0.0), hi)] if hi > 0 else [])
-    for a, b in regions:
+    for a, b in _sign_regions(lo, hi):
         offset = _ZERO_OFFSET * (b - a)
         shares = np.linspace(a + offset if a == 0 else a, b - offset if b == 0 else b, _GAP_SAMPLES).tolist()
         gaps = [gap(s) for s in shares]
@@ -467,37 +442,32 @@ def _finish_naive(grid: _AssetGrid, prefs: Preferences, utility: ConsumptionUtil
 def sophisticated_alpha(asset: Asset, prefs: Preferences,
                         utility: ConsumptionUtility = ConsumptionUtility(),
                         bounds=DEFAULT_BOUNDS) -> PortfolioSolution:
-    """Share maximizing the loss-overweighted objective, per sign region."""
+    """Share maximizing the loss-overweighted objective, per sign region.
+
+    On a sign region the objective is ``eta`` times ``sum W u(r_f + a x)`` over
+    the objective grid followed by the region's loss nodes, weighted by
+    ``lambda - 1``; it is concave there, so each region's maximum is one
+    ``_best_share``.  The regions are compared by value (lowest share on ties).
+    """
     lo, hi = _feasible_bounds(asset, utility, bounds)
-    objective = sophisticated_objective(asset, prefs, utility)
     grid = _AssetGrid(asset, prefs)
+    overweight = prefs.lambda0 - 1.0
 
-    regions = []
-    if lo < 0:
-        regions.append((lo, min(hi, 0.0)))
-    if hi > 0:
-        regions.append((max(lo, 0.0), hi))
-    if not regions:
-        regions.append((lo, hi))
-
-    best_alpha, best_value, total_iters = None, -math.inf, 0
-    for r_lo, r_hi in regions:
-        xs = np.linspace(r_lo, r_hi, _BRACKET_POINTS)
-        vals = [objective(x) for x in xs]
-        i = int(np.argmax(vals))
-        b_lo = xs[max(i - 1, 0)]
-        b_hi = xs[min(i + 1, len(xs) - 1)]
-        alpha, value, iters = _maximize(objective, b_lo, b_hi)
-        total_iters += iters
-        for cand_alpha, cand_value in ((alpha, value), (r_lo, vals[0]), (r_hi, vals[-1])):
-            if cand_value > best_value + 1e-15 or (
-                abs(cand_value - best_value) <= 1e-15 and (best_alpha is None or cand_alpha < best_alpha)
-            ):
-                best_alpha, best_value = cand_alpha, cand_value
+    best_alpha, best_value, total_calls = None, -math.inf, 0
+    for r_lo, r_hi in _sign_regions(lo, hi) or [(lo, hi)]:
+        lx, lw = grid.loss_nodes(r_lo)
+        x, w = np.concatenate((grid.x, lx)), np.concatenate((grid.w, overweight * lw))
+        alpha, calls = _best_share(x, w, asset.r_f, utility, r_lo, r_hi)
+        total_calls += calls
+        value = prefs.eta * float(w @ utility.value_array(asset.r_f + alpha * x))
+        if value > best_value + 1e-15 or (
+            abs(value - best_value) <= 1e-15 and (best_alpha is None or alpha < best_alpha)
+        ):
+            best_alpha, best_value = alpha, value
 
     belief_expectation, r_ce = _belief_finish(grid, utility, best_alpha)
     return PortfolioSolution(alpha=best_alpha, belief_expectation=belief_expectation,
-                             r_ce=r_ce, value=best_value, converged=True, iterations=total_iters)
+                             r_ce=r_ce, value=best_value, converged=True, iterations=total_calls)
 
 
 def certainty_equivalent_excess(asset: Asset, alpha: float, prefs: Preferences,

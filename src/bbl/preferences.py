@@ -158,7 +158,7 @@ def loss_multiplier(x: float, prefs: Preferences) -> float:
     Constant ``lambda0`` for the linear kind; rises smoothly from 1 at
     ``x = 0`` toward ``lambda0`` for the general kind.
     """
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"loss size must be nonnegative, got {x}")
     if prefs.gain_loss.kind == LINEAR:
         return prefs.lambda0

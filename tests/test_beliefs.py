@@ -89,6 +89,13 @@ class TestTotalUtility:
         with pytest.raises(ValueError):
             total_utility(TWO_STATE, (-0.2, 1.2), PREFS)
 
+    @pytest.mark.parametrize("q", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                   (-math.inf, 1.0), (math.inf, -math.inf), (math.nan, math.nan)])
+    def test_non_finite_q_rejected(self, q):
+        lot = DiscreteLottery((0.0, 1.0), (0.5, 0.5))
+        with pytest.raises(ValueError, match="belief vector q"):
+            total_utility(lot, q, PREFS)
+
     def test_rational_utility_three_state(self):
         lot = DiscreteLottery((0.0, 1.0, 2.0), (1 / 3, 1 / 3, 1 / 3))
         mean = sum(p * u for p, u in zip(lot.probs, lot.utilities))

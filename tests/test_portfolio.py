@@ -12,6 +12,7 @@ from bbl import (
     GainLossSpec,
     Preferences,
     certainty_equivalent_excess,
+    cutoff_probability,
     eta_for_cutoff,
     grid_search_alpha,
     naive_alpha,
@@ -19,7 +20,7 @@ from bbl import (
     sophisticated_alpha,
     subjective_expectation,
 )
-from bbl.portfolio import naive_fixed_objective, rational_objective, sophisticated_objective
+from bbl.portfolio import _feasible_bounds, naive_fixed_objective, rational_objective, sophisticated_objective
 
 NORMAL_ASSET = Asset(1.0, ContinuousDistribution.normal(0.05, 0.2))
 LINEAR = ConsumptionUtility()
@@ -179,6 +180,84 @@ class TestNaiveCorpus:
     def test_cli_import_leaves_scipy_out(self):
         code = "import sys, bbl.cli; sys.exit('scipy' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def slope_terms(asset, utility, alpha, prefs=None, short=False):
+    """Per-node terms of the objective's slope at ``alpha``: the objective grid,
+    then for the sophisticated agent the loss nodes of a sign region (above the
+    p_star quantile on the ``short`` side, below the 1 - p_star quantile on the
+    long side) weighted by lambda - 1."""
+    dist = asset.excess
+    x, w = dist.quad_nodes()
+    if prefs is not None:
+        p_star, (lo, hi) = cutoff_probability(prefs), dist.support
+        lx, lw = (dist.quad_nodes(dist.quantile(p_star), hi) if short
+                  else dist.quad_nodes(lo, dist.quantile(1.0 - p_star)))
+        x, w = np.concatenate((x, lx)), np.concatenate((w, (prefs.lambda0 - 1.0) * lw))
+    return w * x * utility.marginal_array(asset.r_f + alpha * x)
+
+
+class TestConcaveCorpus:
+    """Rational and sophisticated shares on the seeded corpus of ``naive_corpus``."""
+
+    BOUNDS = (-10.0, 10.0)
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        cases = []
+        for asset, prefs, utility in naive_corpus():
+            cases.append((asset, None, utility, rational_alpha(asset, utility, self.BOUNDS),
+                          rational_objective(asset, utility)))
+            cases.append((asset, prefs, utility, sophisticated_alpha(asset, prefs, utility, self.BOUNDS),
+                          sophisticated_objective(asset, prefs, utility)))
+        return cases
+
+    def test_no_grid_point_beats_the_share(self, solved):
+        spacing = (self.BOUNDS[1] - self.BOUNDS[0]) / 2000
+        for asset, prefs, utility, sol, objective in solved:
+            scale = max(1.0, abs(sol.value))
+            assert abs(objective(sol.alpha) - sol.value) <= 1e-12 * scale
+            grid_alpha, grid_value = grid_search_alpha(objective, self.BOUNDS)
+            assert grid_value - sol.value <= 1e-9 * scale
+            assert abs(grid_alpha - sol.alpha) <= spacing
+
+    def test_first_order_condition(self, solved):
+        kinds = set()
+        for asset, prefs, utility, sol, _ in solved:
+            lo, hi = _feasible_bounds(asset, utility, self.BOUNDS)
+            terms = slope_terms(asset, utility, sol.alpha, prefs, short=sol.alpha < 0)
+            slope, tol = float(np.sum(terms)), 1e-10 * float(np.sum(np.abs(terms)))
+            if sol.alpha == lo:
+                assert slope <= tol
+            elif sol.alpha == hi:
+                assert slope >= -tol
+            elif sol.alpha == 0.0 and prefs is not None:
+                # the kink between the sign regions: neither side improves
+                assert slope <= tol
+                below = slope_terms(asset, utility, 0.0, prefs, short=True)
+                assert float(np.sum(below)) >= -1e-10 * float(np.sum(np.abs(below)))
+            else:
+                kinds.add((prefs is None, utility.kind))
+                assert abs(slope) <= tol
+        # interior shares for both agents under log and power utility
+        assert kinds == {(True, "log"), (True, "power"), (False, "log"), (False, "power")}
+
+    def test_linear_utility_gives_a_corner(self, solved):
+        for asset, prefs, utility, sol, _ in solved:
+            if utility.kind == "linear":
+                corners = self.BOUNDS if prefs is None else (*self.BOUNDS, 0.0)
+                assert sol.alpha in corners
+
+    def test_iterations_count_slope_evaluations(self, solved):
+        # two end slopes per region (one region for rational, two for
+        # sophisticated), and more only where a root is bracketed
+        for asset, prefs, utility, sol, _ in solved:
+            ends = 2 if prefs is None else 4
+            assert sol.converged
+            if utility.kind == "linear":
+                assert sol.iterations == ends
+            else:
+                assert sol.iterations >= ends
 
 
 class TestSophisticated:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -97,6 +99,15 @@ class TestGainLoss:
         values = [loss_multiplier(x, p) for x in xs]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert all(v > 1 for v in values[1:])
+
+    @pytest.mark.parametrize("kind", ["linear", "general"])
+    def test_loss_multiplier_rejects_nan_and_negative(self, kind):
+        spec = GainLossSpec.general(beta=1.0, kappa=2.0) if kind == "general" else GainLossSpec()
+        p = prefs(0.6, 2.25, gain_loss=spec)
+        for x in (math.nan, -math.inf, -1e-300):
+            with pytest.raises(ValueError, match="loss size"):
+                loss_multiplier(x, p)
+        assert loss_multiplier(math.inf, p) == pytest.approx(2.25)
 
 
 class TestValidation:

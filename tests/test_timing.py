@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,13 @@ class TestUtilityEarly:
 
     def test_half_half(self):
         assert utility_early(TWO_STATE, (0.5, 0.5), PREFS) == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("q", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0)])
+    def test_non_finite_q_rejected(self, q):
+        lot = DiscreteLottery((0.0, 1.0), (0.5, 0.5))
+        for utility in (utility_early, utility_wait):
+            with pytest.raises(ValueError, match="belief vector q"):
+                utility(lot, q, PREFS)
 
 
 class TestUtilityWait:
