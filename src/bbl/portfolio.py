@@ -6,8 +6,9 @@ Three solvers share the quadrature grid of the excess-return distribution:
 * ``rational_alpha``      -- maximizes objective expected utility;
 * ``naive_alpha``         -- a fixed point between the optimal-belief tilt of
   the density (at the current share) and the share maximizing subjective
-  expected utility under that tilt, found as a bracketed root of the gap
-  ``argmax_a obj_alpha(a) - alpha`` on each sign region of the share;
+  expected utility under that tilt: on each sign region of the share, a
+  bracketed root of the slope at ``a = alpha`` of utility under the beliefs
+  frozen at ``alpha``, confirmed against the gap ``argmax_a obj_alpha(a) - alpha``;
 * ``sophisticated_alpha`` -- maximizes expected utility with the loss
   region (the lower ``1 - p_star`` quantile region of the induced utility
   payoff) overweighted by ``lambda``.
@@ -24,8 +25,10 @@ domain.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +54,7 @@ DEFAULT_BOUNDS = (-10.0, 10.0)
 
 _ROOT_X_TOL = 1e-12
 _FIXED_POINT_TOL = 1e-8
-_GAP_SAMPLES = 7  # evenly spaced gap evaluations per sign region of the naive share
+_GAP_SAMPLES = 7  # evenly spaced shares per sign region at which the naive solver samples h
 _ZERO_OFFSET = 1e-6  # a sign region's sample next to alpha = 0, as a fraction of its width
 _EPS = sys.float_info.epsilon
 
@@ -84,8 +87,8 @@ class PortfolioSolution:
     return whose sure receipt matches it (undefined at ``alpha = 0``).
     ``iterations`` counts evaluations of the first-order-condition slope for
     the rational and sophisticated agents (over both sign regions for the
-    latter), and evaluations of the fixed-point gap (each an inner
-    maximization) for the naive agent.
+    latter), and evaluations of ``h``, the slope of the frozen-belief
+    objective at the share itself, for the naive agent.
     """
 
     alpha: float
@@ -171,44 +174,62 @@ def _feasible_bounds(asset: Asset, utility: ConsumptionUtility, bounds) -> tuple
                          abs(upper) if math.isfinite(upper) else 0.0)
     lo_eff = max(lo_b, lower + margin)
     hi_eff = min(hi_b, upper - margin)
-    if lo_eff >= hi_eff:
+    if lo_eff > hi_eff:
         raise DomainError(
             f"no risky share in {bounds} keeps wealth inside the domain of {utility.kind} utility"
         )
     return lo_eff, hi_eff
 
 
+# A sign region's gain-then-loss nodes and weights, their products, the index
+# where the loss nodes start, and the masses of the gain and loss nodes.
+_Region = namedtuple("_Region", "x w wx k p_gain p_loss")
+
+
 class _AssetGrid:
-    """Quadrature nodes of the excess distribution, split at the belief cutoffs."""
+    """Quadrature nodes of the excess distribution, split at the belief cutoffs;
+    each cutoff and node set is built on first use."""
 
     def __init__(self, asset: Asset, prefs: Preferences | None = None):
         self.asset = asset
-        dist = asset.excess
-        self.x, self.w = dist.quad_nodes()
-        self.r_minus = self.r_plus = None
+        self._built: dict = {}
         if prefs is not None:
             if prefs.gain_loss.kind != LINEAR:
                 raise ValueError("portfolio belief machinery requires the linear gain-loss kind")
-            p_star = cutoff_probability(prefs)
-            if not 0.0 < p_star < 1.0:
-                raise DomainError(f"portfolio beliefs need a cutoff in (0, 1), got {p_star}")
-            lo, hi = dist.support
-            self.r_minus = dist.quantile(1.0 - p_star)
-            self.r_plus = dist.quantile(p_star)
-            self.below_minus = dist.quad_nodes(lo, self.r_minus)
-            self.above_minus = dist.quad_nodes(self.r_minus, hi)
-            self.below_plus = dist.quad_nodes(lo, self.r_plus)
-            self.above_plus = dist.quad_nodes(self.r_plus, hi)
+            self.p_star = cutoff_probability(prefs)
+            if not 0.0 < self.p_star < 1.0:
+                raise DomainError(f"portfolio beliefs need a cutoff in (0, 1), got {self.p_star}")
+
+    def _once(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    @property
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of the whole density."""
+        return self._once("nodes", self.asset.excess.quad_nodes)
 
     def cut(self, alpha: float) -> float:
         """Excess return at the boundary between gain and loss states."""
-        return self.r_minus if alpha >= 0 else self.r_plus
+        p = 1.0 - self.p_star if alpha >= 0 else self.p_star
+        return self._once(("cut", alpha >= 0), lambda: self.asset.excess.quantile(p))
+
+    def _beside_cut(self, alpha: float, below: bool):
+        lo, hi = self.asset.excess.support
+        ends = (lo, self.cut(alpha)) if below else (self.cut(alpha), hi)
+        return self._once((below, alpha >= 0), lambda: self.asset.excess.quad_nodes(*ends))
 
     def loss_nodes(self, alpha: float):
-        return self.below_minus if alpha >= 0 else self.above_plus
+        return self._beside_cut(alpha, below=alpha >= 0)
 
-    def gain_nodes(self, alpha: float):
-        return self.above_minus if alpha >= 0 else self.below_plus
+    def region(self, alpha: float) -> _Region:
+        def build():
+            (gx, gw), (lx, lw) = self._beside_cut(alpha, below=alpha < 0), self.loss_nodes(alpha)
+            x, w = np.concatenate((gx, lx)), np.concatenate((gw, lw))
+            return _Region(x, w, w * x, gx.size, float(np.sum(gw)), float(np.sum(lw)))
+
+        return self._once(("region", alpha >= 0), build)
 
 
 def _utility_values(utility: ConsumptionUtility, r_f: float, alpha: float, x: np.ndarray):
@@ -231,10 +252,10 @@ def rational_objective(asset: Asset, utility: ConsumptionUtility = ConsumptionUt
     Returns ``-inf`` where wealth leaves the utility domain, so the callable
     is safe to scan over any interval.
     """
-    grid = _AssetGrid(asset)
+    x, w = _AssetGrid(asset).nodes
 
     def objective(alpha: float) -> float:
-        return _objective_or_ninf(_utility_values(utility, asset.r_f, alpha, grid.x), grid.w)
+        return _objective_or_ninf(_utility_values(utility, asset.r_f, alpha, x), w)
 
     return objective
 
@@ -243,15 +264,16 @@ def sophisticated_objective(asset: Asset, prefs: Preferences,
                             utility: ConsumptionUtility = ConsumptionUtility()):
     """Loss-overweighted expected utility as a callable of the risky share."""
     grid = _AssetGrid(asset, prefs)
+    x, w = grid.nodes
     overweight = prefs.lambda0 - 1.0
 
     def objective(alpha: float) -> float:
-        full = _utility_values(utility, asset.r_f, alpha, grid.x)
+        full = _utility_values(utility, asset.r_f, alpha, x)
         if full is None:
             return -math.inf
         lx, lw = grid.loss_nodes(alpha)
         loss = _utility_values(utility, asset.r_f, alpha, lx)
-        return prefs.eta * (float(grid.w @ full) + overweight * float(lw @ loss))
+        return prefs.eta * (float(w @ full) + overweight * float(lw @ loss))
 
     return objective
 
@@ -261,28 +283,32 @@ def _belief_tilt(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):
 
     The target subjective expectation is the utility payoff at the cutoff
     quantile; the factors solve the mass and mean constraints on the two
-    regions.  Returns (c_gain, c_loss, target).
+    regions.  Returns (region, wealth, utility at the region's nodes, c_gain,
+    c_loss, target).
     """
-    r_f = grid.asset.r_f
+    r_f, reg = grid.asset.r_f, grid.region(alpha)
     target = utility.value(r_f + alpha * grid.cut(alpha))
-    gx, gw = grid.gain_nodes(alpha)
-    lx, lw = grid.loss_nodes(alpha)
-    gu = _utility_values(utility, r_f, alpha, gx)
-    lu = _utility_values(utility, r_f, alpha, lx)
-    if gu is None or lu is None:
+    wealth = r_f + alpha * reg.x
+    if utility.needs_positive_wealth and wealth.min() <= 0:
         raise DomainError(f"wealth leaves the {utility.kind} utility domain at share {alpha}")
-    factors = _tilt_factors(float(np.sum(gw)), float(np.sum(lw)), float(gw @ gu), float(lw @ lu),
-                            target)
+    u, w, k = utility.value_array(wealth), reg.w, reg.k
+    factors = _tilt_factors(reg.p_gain, reg.p_loss, float(w[:k] @ u[:k]), float(w[k:] @ u[k:]), target)
     c_g, c_l = (1.0, 1.0) if factors is None else factors
-    return c_g, c_l, target
+    return reg, wealth, u, c_g, c_l, target
+
+
+def _frozen_slope(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float) -> float:
+    """Slope in ``a`` at ``a = alpha`` of the expected utility under the beliefs tilted at ``alpha``."""
+    reg, wealth, _, c_g, c_l, _ = _belief_tilt(grid, utility, alpha)
+    m, k = utility.marginal_array(wealth), reg.k
+    return c_g * float(reg.wx[:k] @ m[:k]) + c_l * float(reg.wx[k:] @ m[k:])
 
 
 def naive_fixed_objective(asset: Asset, prefs: Preferences,
                           utility: ConsumptionUtility = ConsumptionUtility(),
                           alpha: float = 0.0):
     """Subjective expected utility with beliefs frozen at the tilt for ``alpha``."""
-    grid = _AssetGrid(asset, prefs)
-    return _naive_step_objective(grid, utility, alpha)
+    return _naive_step_objective(_AssetGrid(asset, prefs), utility, alpha)
 
 
 def _naive_beliefs(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):
@@ -291,11 +317,9 @@ def _naive_beliefs(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):
     At ``alpha = 0`` a constant payoff gives no reason to tilt: beliefs stay objective.
     """
     if alpha == 0.0:
-        return grid.x, grid.w
-    c_g, c_l, _ = _belief_tilt(grid, utility, alpha)
-    gx, gw = grid.gain_nodes(alpha)
-    lx, lw = grid.loss_nodes(alpha)
-    return np.concatenate((gx, lx)), np.concatenate((c_g * gw, c_l * lw))
+        return grid.nodes
+    reg, _, _, c_g, c_l, _ = _belief_tilt(grid, utility, alpha)
+    return reg.x, np.concatenate((c_g * reg.w[:reg.k], c_l * reg.w[reg.k:]))
 
 
 def _naive_step_objective(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):
@@ -338,18 +362,14 @@ def _total_utility_at(grid: _AssetGrid, prefs: Preferences,
     r_f = grid.asset.r_f
     if alpha == 0.0:
         return utility.value(r_f)
-    _, _, target = _belief_tilt(grid, utility, alpha)
-    gx, gw = grid.gain_nodes(alpha)
-    lx, lw = grid.loss_nodes(alpha)
-    gu = _utility_values(utility, r_f, alpha, gx)
-    lu = _utility_values(utility, r_f, alpha, lx)
-    gain_term = float(gw @ (gu - target))
-    loss_term = float(lw @ (lu - target))
+    reg, _, u, _, _, target = _belief_tilt(grid, utility, alpha)
+    gain_term = float(reg.w[:reg.k] @ (u[:reg.k] - target))
+    loss_term = float(reg.w[reg.k:] @ (u[reg.k:] - target))
     return target + prefs.eta * (gain_term + prefs.lambda0 * loss_term)
 
 
 def _sign_regions(lo: float, hi: float) -> list[tuple[float, float]]:
-    """The parts ``[lo, 0]`` and ``[0, hi]`` of ``[lo, hi]`` that have positive width."""
+    """The parts ``[lo, 0]`` and ``[0, hi]`` of ``[lo, hi]`` that hold a nonzero share."""
     return ([(lo, min(hi, 0.0))] if lo < 0 else []) + ([(max(lo, 0.0), hi)] if hi > 0 else [])
 
 
@@ -357,9 +377,9 @@ def rational_alpha(asset: Asset, utility: ConsumptionUtility = ConsumptionUtilit
                    bounds=DEFAULT_BOUNDS) -> PortfolioSolution:
     """Share maximizing objective expected utility on the given bounds."""
     lo, hi = _feasible_bounds(asset, utility, bounds)
-    grid = _AssetGrid(asset)
-    alpha, iters = _best_share(grid.x, grid.w, asset.r_f, utility, lo, hi)
-    value = float(grid.w @ utility.value_array(asset.r_f + alpha * grid.x))
+    x, w = _AssetGrid(asset).nodes
+    alpha, iters = _best_share(x, w, asset.r_f, utility, lo, hi)
+    value = float(w @ utility.value_array(asset.r_f + alpha * x))
     r_ce = None
     if alpha != 0.0:
         r_ce = (utility.inverse(value) - asset.r_f) / alpha
@@ -372,48 +392,54 @@ def naive_alpha(asset: Asset, prefs: Preferences,
                 bounds=DEFAULT_BOUNDS) -> PortfolioSolution:
     """Fixed point of belief formation given the share and share choice given beliefs.
 
-    The fixed points are the roots of ``gap(alpha) = best share under the
-    beliefs for alpha - alpha``.  ``gap`` is continuous on each sign region of
+    With beliefs frozen at the tilt for ``alpha`` expected utility is concave in
+    the share, so the best response lies above ``alpha`` exactly where its slope
+    at ``alpha``, ``h(alpha)``, is positive: the fixed points are the roots of
+    ``h``, the bound ``lo`` where ``h(lo) <= 0``, the bound ``hi`` where
+    ``h(hi) >= 0``, and possibly 0.  ``h`` is continuous on each sign region of
     the share but may jump at 0, where the loss region switches sides, so each
     region is sampled on a few evenly spaced shares (an end at 0 moved just
-    inside the region) and every sign change is
-    closed by Brent's method; a root counts only where ``|gap|`` is within
-    ``_FIXED_POINT_TOL`` (a sign change that survives the collapse of its bracket
-    is a jump).  A sampled share, 0 included, is a fixed point on the same test.
-    Among the fixed points the one with the highest anticipatory-plus-gain-loss
-    utility is returned (lowest share on ties).  Without one, the evaluated share
-    with the smallest ``|gap|`` is returned with ``converged=False``.
+    inside the region) and every sign change is closed by Brent's method.  Each
+    candidate is confirmed by one inner maximization: it counts only where
+    ``|gap|``, best response minus share, is within ``_FIXED_POINT_TOL`` (a sign
+    change that survives the collapse of its bracket is a jump).  Among the
+    fixed points the one with the highest anticipatory-plus-gain-loss utility is
+    returned (lowest share on ties).  Without one, the sampled share with the
+    smallest ``|gap|`` is returned with ``converged=False``.
     """
     lo, hi = _feasible_bounds(asset, utility, bounds)
     grid = _AssetGrid(asset, prefs)
-    evaluated: list[tuple[float, float]] = []  # (share, gap) in evaluation order
+    evaluated: list[float] = []  # shares at which h was evaluated
 
+    @functools.cache
     def gap(alpha: float) -> float:
         x, w = _naive_beliefs(grid, utility, alpha)
-        g = _best_share(x, w, asset.r_f, utility, lo, hi)[0] - alpha
-        evaluated.append((alpha, g))
-        return g
+        return _best_share(x, w, asset.r_f, utility, lo, hi)[0] - alpha
 
-    candidates = []
-    if lo <= 0.0 <= hi and abs(gap(0.0)) <= _FIXED_POINT_TOL:
-        candidates.append(0.0)
+    def h(alpha: float) -> float:
+        evaluated.append(alpha)
+        return _frozen_slope(grid, utility, alpha)
+
+    samples = [0.0] if lo <= 0.0 <= hi else []
+    candidates = list(samples)
     for a, b in _sign_regions(lo, hi):
         offset = _ZERO_OFFSET * (b - a)
         shares = np.linspace(a + offset if a == 0 else a, b - offset if b == 0 else b, _GAP_SAMPLES).tolist()
-        gaps = [gap(s) for s in shares]
-        candidates += [s for s, g in zip(shares, gaps) if abs(g) <= _FIXED_POINT_TOL]
-        for i in range(len(shares) - 1):
-            if gaps[i] * gaps[i + 1] < 0:
-                root, g = _brent_root(gap, shares[i], gaps[i], shares[i + 1], gaps[i + 1])
-                if abs(g) <= _FIXED_POINT_TOL:
-                    candidates.append(root)
+        hs = [h(s) for s in shares]
+        # at a bound that h points past the gap is 0: a candidate, and no end of a bracket
+        hs = [0.0 if (s == lo and v <= 0) or (s == hi and v >= 0) else v for s, v in zip(shares, hs)]
+        samples += shares
+        candidates += [s for s, v in zip(shares, hs) if v == 0.0]
+        candidates += [_brent_root(h, shares[i], hs[i], shares[i + 1], hs[i + 1])[0]
+                       for i in range(len(shares) - 1) if hs[i] * hs[i + 1] < 0]
 
-    if not candidates:
-        alpha = min(evaluated, key=lambda pair: abs(pair[1]))[0]
+    fixed = sorted({alpha for alpha in candidates if abs(gap(alpha)) <= _FIXED_POINT_TOL})
+    if not fixed:
+        alpha = min(samples, key=lambda s: abs(gap(s)))
         return _finish_naive(grid, prefs, utility, alpha, len(evaluated), converged=False)
 
     best_alpha, best_total = None, -math.inf
-    for alpha in sorted(candidates):
+    for alpha in fixed:
         total = _total_utility_at(grid, prefs, utility, alpha)
         if best_alpha is None or total > best_total + 1e-12:
             best_alpha, best_total = alpha, total
@@ -432,8 +458,7 @@ def _belief_finish(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):
 
 def _finish_naive(grid: _AssetGrid, prefs: Preferences, utility: ConsumptionUtility,
                   alpha: float, iterations: int, converged: bool) -> PortfolioSolution:
-    objective = _naive_step_objective(grid, utility, alpha)
-    value = objective(alpha)
+    value = _naive_step_objective(grid, utility, alpha)(alpha)
     belief_expectation, r_ce = _belief_finish(grid, utility, alpha)
     return PortfolioSolution(alpha=alpha, belief_expectation=belief_expectation, r_ce=r_ce,
                              value=value, converged=converged, iterations=iterations)
@@ -456,7 +481,7 @@ def sophisticated_alpha(asset: Asset, prefs: Preferences,
     best_alpha, best_value, total_calls = None, -math.inf, 0
     for r_lo, r_hi in _sign_regions(lo, hi) or [(lo, hi)]:
         lx, lw = grid.loss_nodes(r_lo)
-        x, w = np.concatenate((grid.x, lx)), np.concatenate((grid.w, overweight * lw))
+        x, w = np.concatenate((grid.nodes[0], lx)), np.concatenate((grid.nodes[1], overweight * lw))
         alpha, calls = _best_share(x, w, asset.r_f, utility, r_lo, r_hi)
         total_calls += calls
         value = prefs.eta * float(w @ utility.value_array(asset.r_f + alpha * x))

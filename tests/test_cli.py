@@ -117,6 +117,25 @@ class TestPortfolio:
         assert code == 2
         assert json.loads(out)["converged"] is False
 
+    @pytest.mark.parametrize("agent", ["rational", "naive", "sophisticated"])
+    @pytest.mark.parametrize("utility", ['{"kind":"power","rho":2}', '{"kind":"log"}', '{"kind":"linear"}'])
+    @pytest.mark.parametrize("share", ["0.3", "0"])
+    def test_equal_bounds_fix_the_share(self, cli, agent, utility, share):
+        asset = json.dumps({"r_f": 1.0, "excess": {"normal": {"mean": 0.05, "sd": 0.2}}})
+        code, out, _ = cli("portfolio", "--asset", asset, "--agent", agent, "--prefs", PREFS,
+                           "--utility", utility, f"--bounds={share}:{share}")
+        assert code == 0
+        assert json.loads(out)["alpha"] == float(share)
+
+    def test_equal_bounds_beyond_the_wealth_domain(self, cli):
+        # the 8-sd support bottom 0.05 - 1.6 leaves wealth positive only for shares below 1/1.55
+        asset = json.dumps({"r_f": 1.0, "excess": {"normal": {"mean": 0.05, "sd": 0.2}}})
+        code, out, err = cli("portfolio", "--asset", asset, "--agent", "rational",
+                             "--utility", '{"kind":"power","rho":2}', "--bounds=0.7:0.7")
+        assert code == 1
+        assert out == ""
+        assert "domain" in err
+
 
 class TestEquilibrium:
     def test_csv_shape(self, cli):

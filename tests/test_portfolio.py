@@ -20,7 +20,19 @@ from bbl import (
     sophisticated_alpha,
     subjective_expectation,
 )
-from bbl.portfolio import _feasible_bounds, naive_fixed_objective, rational_objective, sophisticated_objective
+from bbl import portfolio
+from bbl.portfolio import (
+    DEFAULT_BOUNDS,
+    _AssetGrid,
+    _best_share,
+    _feasible_bounds,
+    _frozen_slope,
+    _naive_beliefs,
+    _sign_regions,
+    naive_fixed_objective,
+    rational_objective,
+    sophisticated_objective,
+)
 
 NORMAL_ASSET = Asset(1.0, ContinuousDistribution.normal(0.05, 0.2))
 LINEAR = ConsumptionUtility()
@@ -169,6 +181,42 @@ class TestNaiveCorpus:
                 objective = naive_fixed_objective(asset, prefs, utility, sol.alpha)
                 assert sol.value == objective(sol.alpha)
 
+    def test_converged_shares_are_inner_best_responses(self, solved):
+        # the best response under the beliefs frozen at the share is the share
+        for asset, prefs, utility, sol in solved:
+            if not sol.converged:
+                continue
+            lo, hi = _feasible_bounds(asset, utility, self.BOUNDS)
+            x, w = _naive_beliefs(_AssetGrid(asset, prefs), utility, sol.alpha)
+            best, _ = _best_share(x, w, asset.r_f, utility, lo, hi)
+            if sol.alpha in (lo, hi):
+                assert best == sol.alpha
+            else:
+                assert abs(best - sol.alpha) <= 1e-10
+
+    def test_interior_shares_are_sign_changes_of_the_frozen_slope(self, solved):
+        roots = 0
+        for asset, prefs, utility, sol in solved:
+            lo, hi = _feasible_bounds(asset, utility, self.BOUNDS)
+            if not sol.converged or sol.alpha in (lo, 0.0, hi):
+                continue
+            grid = _AssetGrid(asset, prefs)
+            below, above = (_frozen_slope(grid, utility, sol.alpha + d) for d in (-1e-7, 1e-7))
+            assert below * above < 0
+            roots += 1
+        assert roots > 0
+
+    def test_iterations_count_frozen_slope_evaluations(self, monkeypatch):
+        shares = []
+        slope = portfolio._frozen_slope
+        monkeypatch.setattr(portfolio, "_frozen_slope",
+                            lambda grid, utility, alpha: shares.append(alpha) or slope(grid, utility, alpha))
+        for asset, prefs, utility in naive_corpus():
+            shares.clear()
+            sol = naive_alpha(asset, prefs, utility, self.BOUNDS)
+            regions = _sign_regions(*_feasible_bounds(asset, utility, self.BOUNDS))
+            assert sol.iterations == len(shares) >= 7 * len(regions)
+
     @pytest.mark.parametrize("eta", [0.70, 0.75, 0.80, 0.85])
     def test_readme_asset_has_no_fixed_point(self, eta, power2):
         prefs = Preferences(eta=eta, lambda0=2.25)
@@ -176,6 +224,9 @@ class TestNaiveCorpus:
         assert not sol.converged
         objective = naive_fixed_objective(NORMAL_ASSET, prefs, power2, sol.alpha)
         assert sol.value == objective(sol.alpha)
+        # the least-|gap| sample: the long region's first share, just right of 0
+        _, hi = _feasible_bounds(NORMAL_ASSET, power2, DEFAULT_BOUNDS)
+        assert sol.alpha == 1e-6 * hi == pytest.approx(6.451612902225806e-07, rel=1e-15)
 
     def test_cli_import_leaves_scipy_out(self):
         code = "import sys, bbl.cli; sys.exit('scipy' in sys.modules)"
@@ -336,6 +387,51 @@ class TestCertaintyEquivalent:
     def test_zero_share_rejected(self, calibrated_asset):
         with pytest.raises(DomainError):
             certainty_equivalent_excess(calibrated_asset, 0.0, prefs_for(0.5), LINEAR)
+
+
+class TestLazyGrid:
+    """A solver builds only the quadrature node sets it reads."""
+
+    @pytest.fixture
+    def node_sets(self, monkeypatch):
+        calls = []
+        quad_nodes = ContinuousDistribution.quad_nodes
+
+        def counted(dist, *args, **kwargs):
+            calls.append(args)
+            return quad_nodes(dist, *args, **kwargs)
+
+        monkeypatch.setattr(ContinuousDistribution, "quad_nodes", counted)
+        return calls
+
+    def test_rational_builds_the_whole_grid_only(self, node_sets, calibrated_asset, power2):
+        rational_alpha(calibrated_asset, power2)
+        assert node_sets == [()]
+
+    @pytest.mark.parametrize("asset", ["calibrated", "normal"])
+    def test_sophisticated_builds_no_gain_nodes(self, node_sets, asset, calibrated_asset, power2):
+        asset = calibrated_asset if asset == "calibrated" else NORMAL_ASSET
+        sophisticated_alpha(asset, prefs_for(0.6), power2)
+        # the whole grid plus one loss region per sign of the share
+        assert len(node_sets) == 3
+
+    def test_certainty_equivalent_builds_no_nodes(self, node_sets, calibrated_asset, power2):
+        certainty_equivalent_excess(calibrated_asset, 0.3, prefs_for(0.6), power2)
+        assert node_sets == []
+
+
+class TestFixedShareBounds:
+    """Bounds ``lo == hi`` fix the share wherever wealth stays in the domain."""
+
+    @pytest.mark.parametrize("share", [0.3, 0.0, -0.3])
+    @pytest.mark.parametrize("utility", [LOG, ConsumptionUtility("power", 2.0)])
+    def test_every_agent_returns_the_share(self, share, utility):
+        prefs = prefs_for(0.6)
+        for sol in (rational_alpha(NORMAL_ASSET, utility, (share, share)),
+                    naive_alpha(NORMAL_ASSET, prefs, utility, (share, share)),
+                    sophisticated_alpha(NORMAL_ASSET, prefs, utility, (share, share))):
+            assert sol.alpha == share
+            assert sol.converged
 
 
 class TestSolutionInvariants:
