@@ -37,7 +37,7 @@ from .equilibrium import (
     sweep_thresholds,
     write_sweep_csv,
 )
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .oracles import grid_search_alpha, grid_search_beliefs, simpson_integral
 from .portfolio import (
     Asset,
@@ -65,7 +65,6 @@ __all__ = [
     "ComparisonResult",
     "ConsumptionUtility",
     "ContinuousDistribution",
-    "ConvergenceError",
     "DiscreteLottery",
     "DomainError",
     "EquilibriumPoint",

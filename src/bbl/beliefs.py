@@ -12,9 +12,10 @@ turns the solve into a one-dimensional problem on ``[u_1, u_S]``:
 * linear gain-loss: U is concave piecewise linear in E with kinks at the
   payoff utilities, and the slope sign on each segment is the sign of the
   gain mass on that segment minus the cutoff probability;
-* general constant-marginal gain-loss: dU/dE crosses zero where a residual
-  built from the loss-side multipliers hits ``(1 - eta*beta)/(eta*beta)``,
-  and segments are scanned for roots of that residual.
+* general constant-marginal gain-loss: dU/dE has the opposite sign of a
+  residual that rises continuously from ``-(1 - eta*beta)/(eta*beta)`` as
+  loss-side multipliers grow, so the optimum is its single Brent root, or
+  ``u_S`` when the residual stays nonpositive.
 
 Because only the optimal expectation is pinned down, a canonical belief
 vector is reconstructed from it by proportionally re-weighting the gain
@@ -30,6 +31,7 @@ import math
 
 import numpy as np
 
+from ._roots import _brent_root
 from .errors import DomainError, _fields, _finite, _finite_tuple
 from .preferences import GENERAL, Preferences, cutoff_probability, gain_loss, loss_multiplier
 
@@ -356,15 +358,15 @@ def solve_optimal_beliefs(lottery: DiscreteLottery, prefs: Preferences) -> Belie
 def general_residual_solve(lottery: DiscreteLottery, prefs: Preferences) -> BeliefSolution:
     """Optimal beliefs under the general constant-marginal gain-loss kind.
 
-    The derivative of total utility with respect to the subjective
-    expectation E changes sign where
+    Total utility has slope ``dU/dE = -eta*beta * r(E)`` in the subjective
+    expectation E, where
 
-        r(E) = sum_{loss} p_s * (lambda(E - u_s) - 1) - (1 - eta*beta)/(eta*beta)
+        r(E) = sum_{u_s < E} p_s * (lambda(E - u_s) - 1) - (1 - eta*beta)/(eta*beta).
 
-    crosses zero.  Each inter-payoff segment is scanned for a sign change of
-    ``r`` (bisected to a root when found), and the best of the roots and the
-    two corner expectations by total utility is returned.  When no interior
-    root exists the result is a corner solution.
+    ``r`` is continuous (a state joins the sum at ``lambda(0) = 1``), strictly
+    increasing on ``(u_1, u_S]`` and negative at ``u_1``, so U rises up to the
+    unique root of ``r`` and falls after it.  The result is ``u_S`` when
+    ``r(u_S) <= 0``, and otherwise the Brent root of ``r`` on ``[u_1, u_S]``.
     """
     if prefs.gain_loss.kind != GENERAL:
         raise ValueError("general_residual_solve requires the general gain-loss kind")
@@ -378,33 +380,16 @@ def general_residual_solve(lottery: DiscreteLottery, prefs: Preferences) -> Beli
     def residual(e: float) -> float:
         acc = 0.0
         for ps, us in zip(p, u):
-            if us < e:
-                acc += ps * (loss_multiplier(e - us, prefs) - 1.0)
+            if us >= e:
+                break
+            acc += ps * (loss_multiplier(e - us, prefs) - 1.0)
         return acc - rhs
 
-    candidates = list(u)
-    for j in range(lottery.size - 1):
-        a, b = u[j], u[j + 1]
-        ra, rb = residual(a), residual(b)
-        if ra == 0.0:
-            continue  # already a candidate via the knot itself
-        if ra * rb > 0:
-            continue
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            rm = residual(mid)
-            if abs(rm) <= 1e-12 or (b - a) <= 1e-15 * max(1.0, abs(a), abs(b)):
-                break
-            if ra * rm <= 0:
-                b, rb = mid, rm
-            else:
-                a, ra = mid, rm
-        candidates.append(0.5 * (a + b))
-
-    best_e = None
-    best_val = -math.inf
-    for e in sorted(candidates):
-        val = _utility_at_expectation(lottery, e, prefs)
-        if val > best_val + 1e-15:
-            best_e, best_val = e, val
-    return _solution_at(lottery, best_e, prefs, (best_e, best_e))
+    lo, hi = u[0], u[-1]
+    r_hi = residual(hi)
+    if r_hi <= 0.0:
+        e = hi
+    else:
+        # no state lies below u_1, so r(u_1) = -rhs < 0
+        e = _brent_root(residual, lo, -rhs, hi, r_hi, xtol=1e-15 * max(1.0, abs(lo), abs(hi)))[0]
+    return _solution_at(lottery, e, prefs, (e, e))

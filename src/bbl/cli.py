@@ -19,7 +19,7 @@ from . import equilibrium as eq
 from .beliefs import ConsumptionUtility, DiscreteLottery, solve_optimal_beliefs
 from .distributions import ContinuousDistribution, compare
 from .equilibrium import _fmt
-from .errors import ConvergenceError, _finite
+from .errors import _finite
 from .oracles import _grid_step, grid_search_alpha, grid_search_beliefs
 from .portfolio import (
     DEFAULT_BOUNDS,
@@ -310,7 +310,7 @@ def run(argv) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (ConvergenceError, ArithmeticError) as e:
+    except ArithmeticError as e:
         print(f"bbl: numerical failure: {e}", file=sys.stderr)
         return 2
     except ValueError as e:

@@ -15,10 +15,12 @@ grid, producing one priced row per cutoff.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
+from ._roots import _brent_root
 from .distributions import (
     ContinuousDistribution,
     naive_value,
@@ -124,30 +126,23 @@ def sweep_thresholds(dist: ContinuousDistribution, lambda0: float) -> dict:
 
     ``negative_subjective_mean`` -- cutoff above which the subjective
     expectation itself turns negative; ``loss_moment_sign_change`` -- cutoff
-    where the lower partial moment at the subjective expectation crosses
-    zero, which is where the sophisticated and rational prices cross.
+    in ``[1e-6, 1 - 1e-6]`` where the lower partial moment at the subjective
+    expectation crosses zero, which is where the sophisticated and rational
+    prices cross, or None when the moment keeps one sign over that range.
+    The crossing is the Brent root in the payoff ``t`` of
+    ``partial_expectation(dist, t)`` between the subjective expectations at
+    the two ends of the range, mapped back to the cutoff ``1 - cdf(t)``.
     """
     out = {"negative_subjective_mean": None, "loss_moment_sign_change": None}
     lo, hi = dist.support
     if lo < 0 < hi:
         out["negative_subjective_mean"] = 1.0 - dist.cdf(0.0)
 
-    def loss_moment(p_star: float) -> float:
-        return partial_expectation(dist, subjective_expectation(dist, p_star))
-
-    a, b = 1e-6, 1.0 - 1e-6
-    fa, fb = loss_moment(a), loss_moment(b)
-    if fa * fb < 0:
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            fm = loss_moment(mid)
-            if fa * fm <= 0:
-                b, fb = mid, fm
-            else:
-                a, fa = mid, fm
-            if b - a <= 1e-12:
-                break
-        out["loss_moment_sign_change"] = 0.5 * (a + b)
+    t_lo, t_hi = (subjective_expectation(dist, p_star) for p_star in (1.0 - 1e-6, 1e-6))
+    f_lo, f_hi = partial_expectation(dist, t_lo), partial_expectation(dist, t_hi)
+    if f_lo * f_hi < 0:
+        t = _brent_root(functools.partial(partial_expectation, dist), t_lo, f_lo, t_hi, f_hi)[0]
+        out["loss_moment_sign_change"] = 1.0 - dist.cdf(t)
     return out
 
 

@@ -12,10 +12,6 @@ class DomainError(ValueError):
     """
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative routine failed to converge within its iteration cap."""
-
-
 def _finite(name: str, x) -> float:
     """``x`` as a float; ValueError naming the field ``name`` when it is not a finite number.
 

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._roots import _brent_root
 from .beliefs import ConsumptionUtility, _tilt_factors
 from .distributions import ContinuousDistribution
 from .errors import DomainError, _fields, _finite
@@ -52,11 +52,9 @@ __all__ = [
 
 DEFAULT_BOUNDS = (-10.0, 10.0)
 
-_ROOT_X_TOL = 1e-12
 _FIXED_POINT_TOL = 1e-8
 _GAP_SAMPLES = 7  # evenly spaced shares per sign region at which the naive solver samples h
 _ZERO_OFFSET = 1e-6  # a sign region's sample next to alpha = 0, as a fraction of its width
-_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -107,49 +105,6 @@ class PortfolioSolution:
             "converged": self.converged,
             "iterations": self.iterations,
         }
-
-
-def _brent_root(fn, a: float, fa: float, b: float, fb: float, xtol: float = _ROOT_X_TOL):
-    """Root of ``fn`` between ``a`` and ``b``, where ``fa`` and ``fb`` differ in sign.
-
-    Brent's (1973) method: inverse quadratic or secant steps, with a bisection
-    step whenever they would not shrink the bracket fast enough.  Returns
-    (x, fn(x)) with x within ``xtol`` of a sign change.
-    """
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if fb * fc > 0:
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 2.0 * _EPS * abs(b) + 0.5 * xtol
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
-            return b, fb
-        if abs(e) < tol or abs(fa) <= abs(fb):
-            d = e = m
-        else:
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = fn(b)
 
 
 def _feasible_bounds(asset: Asset, utility: ConsumptionUtility, bounds) -> tuple[float, float]:

@@ -12,6 +12,7 @@ from bbl import (
     default_grid,
     eta_for_cutoff,
     naive_price,
+    partial_expectation,
     simpson_integral,
     sophisticated_price,
     subjective_expectation,
@@ -22,6 +23,24 @@ from bbl import (
 
 N11 = ContinuousDistribution.normal(1.0, 1.0)
 LAM = 2.25
+
+
+def threshold_corpus(seed, count):
+    """``count`` each of normal, two-component mixture and tabulated densities."""
+    rng = np.random.default_rng(seed)
+    dists = []
+    for _ in range(count):
+        dists.append(ContinuousDistribution.normal(rng.uniform(-2.0, 2.0), rng.uniform(0.05, 3.0)))
+        w = rng.uniform(0.1, 0.9)
+        dists.append(ContinuousDistribution.mixture([
+            (w, rng.uniform(-1.0, 3.0), rng.uniform(0.1, 2.0)),
+            (1.0 - w, rng.uniform(-3.0, 1.0), rng.uniform(0.1, 2.0)),
+        ]))
+        z = np.linspace(rng.uniform(-6.0, -1.0), rng.uniform(1.0, 6.0), int(rng.choice((11, 51, 601))))
+        f = np.exp(-0.5 * ((z - rng.uniform(-1.5, 1.5)) / rng.uniform(0.3, 2.0)) ** 2) + 0.01
+        f /= np.sum((f[1:] + f[:-1]) * np.diff(z)) / 2.0
+        dists.append(ContinuousDistribution.tabulated(z.tolist(), f.tolist()))
+    return dists
 
 
 def prefs_for(p_star):
@@ -125,6 +144,17 @@ class TestSweep:
         out = sweep_thresholds(N11, LAM)
         assert out["negative_subjective_mean"] == pytest.approx(0.841345, abs=1e-5)
         assert out["loss_moment_sign_change"] == pytest.approx(0.6189, abs=2e-3)
+
+    @pytest.mark.parametrize("dist", threshold_corpus(23, 20))
+    def test_threshold_is_a_loss_moment_root_exactly_when_one_exists(self, dist):
+        # the cutoff range is [1e-6, 1 - 1e-6]; its ends map to the extreme subjective expectations
+        ends = [partial_expectation(dist, subjective_expectation(dist, p)) for p in (1e-6, 1.0 - 1e-6)]
+        p_star = sweep_thresholds(dist, LAM)["loss_moment_sign_change"]
+        if ends[0] * ends[1] >= 0:
+            assert p_star is None
+        else:
+            assert 1e-6 <= p_star <= 1.0 - 1e-6
+            assert abs(partial_expectation(dist, dist.quantile(1.0 - p_star))) <= 1e-8
 
     def test_indifference_at_equilibrium_price(self, figure_sweep):
         # at the quoted price the sophisticated value of holding any share is flat

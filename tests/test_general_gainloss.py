@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from bbl import (
     DiscreteLottery,
     GainLossSpec,
     Preferences,
+    gain_loss,
     general_residual_solve,
     grid_search_beliefs,
     loss_multiplier,
@@ -19,12 +23,53 @@ def general_prefs(eta, lam, beta=1.0, kappa=1e6):
 
 
 def residual(lottery, prefs, expectation):
+    """The residual summed in payoff order, as the solver sums it: nondecreasing in
+    ``expectation`` in floating point too, so a sign change brackets the root."""
     eta_beta = prefs.eta * prefs.gain_loss.beta
-    loss_sum = sum(
-        p * (loss_multiplier(expectation - u, prefs) - 1.0)
-        for p, u in zip(lottery.probs, lottery.utilities) if u < expectation
-    )
-    return loss_sum - (1.0 - eta_beta) / eta_beta
+    acc = 0.0
+    for p, u in zip(lottery.probs, lottery.utilities):
+        if u < expectation:
+            acc += p * (loss_multiplier(expectation - u, prefs) - 1.0)
+    return acc - (1.0 - eta_beta) / eta_beta
+
+
+def general_corpus(seed, count):
+    """Lotteries of 2-100 states on [0, 10] or [0, 1000] with general preferences,
+    ``count`` for each kappa in {0.01, 0.5, 5, 1e6}."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for kappa in (0.01, 0.5, 5.0, 1e6):
+        for _ in range(count):
+            lot = random_lottery(rng, (2, 3, 5, 10, 30, 100), float(rng.choice((10.0, 1000.0))))
+            eta = rng.uniform(0.2, 1.0)
+            beta = rng.uniform(0.3, 0.999 / eta)
+            cases.append((lot, general_prefs(eta, rng.uniform(1.05, 5.0), beta=beta, kappa=kappa)))
+    return cases
+
+
+def utility_at(lottery, prefs, expectation):
+    return expectation + prefs.eta * math.fsum(
+        p * gain_loss(u - expectation, prefs) for p, u in zip(lottery.probs, lottery.utilities))
+
+
+CORPUS = general_corpus(41, 12)
+
+
+@pytest.mark.parametrize("lot, prefs", CORPUS)
+def test_corpus_returns_the_residual_root_or_the_top_corner(lot, prefs):
+    u = lot.utilities
+    sol = general_residual_solve(lot, prefs)
+    e = sol.subjective_expectation
+    if residual(lot, prefs, u[-1]) <= 0.0:
+        assert e == u[-1]
+    else:
+        width = 1e-15 * max(1.0, abs(u[0]), abs(u[-1])) + 4.0 * sys.float_info.epsilon * abs(e)
+        assert u[0] <= e < u[-1]
+        assert residual(lot, prefs, max(e - width, u[0])) <= 0.0
+        assert residual(lot, prefs, min(e + width, u[-1])) >= 0.0
+    grid = np.concatenate([np.linspace(u[0], u[-1], 2001), u])
+    best = max(utility_at(lot, prefs, x) for x in grid.tolist())
+    assert sol.total_utility >= best - 1e-12 * max(1.0, abs(best))
 
 
 def test_constant_lambda_limit_matches_linear():
