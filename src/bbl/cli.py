@@ -150,7 +150,7 @@ def _build_parser() -> _Parser:
     p.add_argument("target", choices=["beliefs", "alpha"])
     p.add_argument("--lottery")
     p.add_argument("--prefs")
-    p.add_argument("--step", type=float, default=0.02)
+    p.add_argument("--step", type=float, default=0.02, help="grid spacing 1/round(1/STEP): 0.4 gives 0.5")
     p.add_argument("--random", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--asset")

@@ -1,14 +1,18 @@
 """Brute-force verifiers for the belief and portfolio solvers.
 
-These recompute objectives along deliberately independent paths: the belief
-objective by naive summation over an exhaustive simplex grid (with the
-general gain-loss function integrated numerically rather than in closed
-form), and one-dimensional share objectives by a dense scan with a local
-parabolic refinement.  Integrals on the oracle side use composite Simpson
-rather than the Gauss-Legendre panels of the main path.  Desk scale only.
+The belief oracle is independent of its solver: naive summation over an
+exhaustive simplex grid, with the general gain-loss function integrated by
+composite Simpson instead of in closed form.  The share scan (a dense scan
+with parabolic refinement) is independent only in its maximization: the
+objectives that ``verify alpha`` and the tests give it read the solver's
+own Gauss-Legendre nodes.  Desk scale only.
 """
 
 from __future__ import annotations
+
+import itertools
+from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -20,6 +24,27 @@ __all__ = ["grid_search_beliefs", "grid_search_alpha", "simpson_integral"]
 
 _MAX_STATES = 4
 _SIMPSON_MU_NODES = 801
+_SIMPSON_CHUNK_ROWS = 128  # 128 rows of 801 nodes: each temporary stays under 1 MB
+
+
+def _simpson_rows(fn, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """Composite Simpson rule on ``n`` nodes (``n`` odd) from each ``lo[i]`` to ``hi[i]``.
+
+    ``fn`` gets each chunk's nodes flat, in one shared buffer it may overwrite.
+    """
+    h = (hi - lo) / (n - 1)
+    out = np.empty_like(h)
+    ticks = np.arange(n, dtype=float)
+    buf = np.empty((min(h.size, _SIMPSON_CHUNK_ROWS), n))
+    for i in range(0, h.size, _SIMPSON_CHUNK_ROWS):
+        rows = slice(i, i + _SIMPSON_CHUNK_ROWS)
+        x = np.multiply(ticks, h[rows, None], out=buf[: h[rows].size])  # np.linspace, row by row
+        x += lo[rows, None]
+        x[:, -1] = hi[rows]
+        y = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+        out[rows] = h[rows] / 3.0 * (y[:, 0] + y[:, -1] + 4.0 * y[:, 1:-1:2].sum(axis=1)
+                                     + 2.0 * y[:, 2:-2:2].sum(axis=1))
+    return out
 
 
 def simpson_integral(fn, lo: float, hi: float, n: int = 2001) -> float:
@@ -30,10 +55,7 @@ def simpson_integral(fn, lo: float, hi: float, n: int = 2001) -> float:
         raise ValueError(f"Simpson rule needs at least 3 nodes, got {n}")
     if n % 2 == 0:
         n += 1
-    x = np.linspace(lo, hi, n)
-    y = np.asarray(fn(x), dtype=float)
-    h = (hi - lo) / (n - 1)
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
+    return float(_simpson_rows(fn, np.array([lo], dtype=float), np.array([hi], dtype=float), n)[0])
 
 
 def _oracle_gain_loss(x: np.ndarray, prefs: Preferences) -> np.ndarray:
@@ -44,36 +66,38 @@ def _oracle_gain_loss(x: np.ndarray, prefs: Preferences) -> np.ndarray:
     if prefs.gain_loss.kind == GENERAL:
         beta, kappa, lam = prefs.gain_loss.beta, prefs.gain_loss.kappa, prefs.lambda0
 
-        def slope(s):
-            return beta * (1.0 + (lam - 1.0) * (1.0 - np.exp(-kappa * s)))
+        def slope(s):  # exp(-kappa * s) overwrites the nodes: one buffer less
+            e = np.exp(np.multiply(s, -kappa, out=s), out=s)
+            return beta * (1.0 + (lam - 1.0) * (1.0 - e))
 
         out[pos] = beta * x[pos]
-        for i in np.nonzero(~pos)[0]:
-            t = -x[i]
-            # split at the end of the exp(-kappa s) boundary layer so the
-            # Simpson rule stays accurate for very large kappa
-            split = min(t, 30.0 / kappa)
-            out[i] = -(simpson_integral(slope, 0.0, split, _SIMPSON_MU_NODES)
-                       + simpson_integral(slope, split, t, _SIMPSON_MU_NODES))
+        t = -x[~pos]
+        # split at the end of the exp(-kappa s) boundary layer so the
+        # Simpson rule stays accurate for very large kappa
+        split = np.minimum(t, 30.0 / kappa)
+        out[~pos] = -(_simpson_rows(slope, np.zeros_like(t), split, _SIMPSON_MU_NODES)
+                      + _simpson_rows(slope, split, t, _SIMPSON_MU_NODES))
     else:
         out[pos] = x[pos]
         out[~pos] = prefs.lambda0 * x[~pos]
     return out
 
 
+@lru_cache(maxsize=3)
 def _simplex_grid(n_states: int, steps: int) -> np.ndarray:
-    """All probability vectors with components that are multiples of 1/steps."""
-    rows: list[tuple[int, ...]] = []
+    """All probability vectors with components that are multiples of 1/steps.
 
-    def fill(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            rows.append(tuple(prefix + [remaining]))
-            return
-        for k in range(remaining + 1):
-            fill(prefix + [k], remaining - k, slots - 1)
-
-    fill([], steps, n_states)
-    return np.array(rows, dtype=float) / steps
+    Stars and bars: each choice of ``n_states - 1`` bars among
+    ``steps + n_states - 1`` slots gives one row, and combinations in
+    lexicographic order give the rows in lexicographic order.
+    """
+    slots = steps + n_states - 1
+    rows = comb(slots, n_states - 1)
+    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(slots), n_states - 1)),
+                       dtype=np.int16, count=rows * (n_states - 1)).reshape(rows, n_states - 1)
+    grid = (np.diff(bars, prepend=np.int16(-1), append=np.int16(slots)) - 1) / steps
+    grid.flags.writeable = False
+    return grid
 
 
 def _grid_step(step) -> float:
@@ -88,8 +112,10 @@ def grid_search_beliefs(lottery: DiscreteLottery, prefs: Preferences,
                         step: float = 0.01) -> tuple[tuple[float, ...], float]:
     """Exhaustive simplex-grid maximum of the belief objective.
 
-    Refuses more than four states (combinatorial blowup).  Returns the best
-    grid vector and its naively summed objective value.
+    Refuses more than four states (combinatorial blowup).  The spacing is
+    ``1/round(1/step)``: ``step=0.4`` searches at 0.5, above 2/3 only the
+    corners.  Returns the lexicographically first best grid vector and its
+    naively summed objective value.
     """
     if lottery.size > _MAX_STATES:
         raise ValueError(f"grid search refuses lotteries with more than {_MAX_STATES} states")

@@ -1,3 +1,5 @@
+import gc
+import itertools
 import math
 
 import numpy as np
@@ -5,12 +7,14 @@ import pytest
 
 from bbl import (
     DiscreteLottery,
+    GainLossSpec,
     Preferences,
     grid_search_alpha,
     grid_search_beliefs,
     simpson_integral,
     solve_optimal_beliefs,
 )
+from bbl.oracles import _oracle_gain_loss, _simplex_grid
 
 from conftest import random_lottery, random_prefs
 
@@ -53,6 +57,71 @@ class TestGridSearchBeliefs:
             prefs = random_prefs(rng)
             _, oracle = grid_search_beliefs(lot, prefs, step=0.02)
             assert solve_optimal_beliefs(lot, prefs).total_utility >= oracle - 1e-12
+
+    def test_tie_returns_first_row(self):
+        # eta * (lambda + 1) * p = 1 makes the objective flat in q, and the
+        # dyadic inputs keep every grid total exactly 0.25
+        lot = DiscreteLottery((0.0, 1.0), (0.5, 0.5))
+        q, value = grid_search_beliefs(lot, Preferences(eta=0.5, lambda0=3.0), step=0.25)
+        assert q == (0.0, 1.0)
+        assert value == 0.25
+
+    def test_leaves_no_cyclic_garbage(self):
+        lot = DiscreteLottery((0.0, 1.0, 2.0, 3.0), (0.25,) * 4)
+        _simplex_grid.cache_clear()
+        gc.collect()
+        gc.disable()
+        try:
+            grid_search_beliefs(lot, PREFS, step=0.05)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestSimplexGrid:
+    @pytest.mark.parametrize("n_states", [1, 2, 3, 4])
+    def test_lexicographic_rows(self, n_states):
+        for steps in range(1, 13):
+            rows = [r for r in itertools.product(range(steps + 1), repeat=n_states) if sum(r) == steps]
+            assert np.array_equal(_simplex_grid(n_states, steps), np.array(rows) / steps)
+
+    @pytest.mark.parametrize("n_states", [2, 3, 4])
+    @pytest.mark.parametrize("steps", [50, 100])
+    def test_row_count(self, n_states, steps):
+        assert len(_simplex_grid(n_states, steps)) == math.comb(steps + n_states - 1, n_states - 1)
+
+    def test_read_only(self):
+        grid = _simplex_grid(3, 10)
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.5
+
+
+class TestOracleGainLoss:
+    @pytest.mark.parametrize("kappa", [1e-2, 0.5, 5.0, 1e2, 1e4])
+    @pytest.mark.parametrize("n_loss", [1, 127, 128, 129, 1000])
+    def test_batched_simpson_matches_per_entry_rule(self, kappa, n_loss):
+        # loss entries straddle the split at 30/kappa; 127-129 sit on a chunk edge
+        rng = np.random.default_rng(n_loss)
+        eta = rng.uniform(0.3, 0.9)
+        beta, lam = rng.uniform(0.5, 0.99 / eta), rng.uniform(1.1, 4.0)
+        prefs = Preferences(eta=eta, lambda0=lam, gain_loss=GainLossSpec.general(beta, kappa))
+        x = np.concatenate([-(30.0 / kappa) * 10.0 ** rng.uniform(-2.0, 0.5, n_loss),
+                            rng.uniform(0.0, 5.0, 7)])
+        rng.shuffle(x)
+
+        def slope(s):
+            return beta * (1.0 + (lam - 1.0) * (1.0 - np.exp(-kappa * s)))
+
+        got = _oracle_gain_loss(x, prefs)
+        for xi, gi in zip(x, got):
+            if xi >= 0:
+                assert gi == beta * xi
+                continue
+            t = -xi
+            split = min(t, 30.0 / kappa)
+            want = -(simpson_integral(slope, 0.0, split, 801) + simpson_integral(slope, split, t, 801))
+            assert gi == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 class TestGridSearchAlpha:
