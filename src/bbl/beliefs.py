@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import itertools
 import math
 
 import numpy as np
@@ -80,17 +81,6 @@ class ConsumptionUtility:
             raise DomainError(f"power utility with rho={rho} undefined at payoff {z}")
         return z ** (1.0 - rho) / (1.0 - rho)
 
-    def marginal(self, z: float) -> float:
-        if self.kind == "linear":
-            return 1.0
-        if self.kind == "log":
-            if z <= 0:
-                raise DomainError(f"log utility undefined at payoff {z}")
-            return 1.0 / z
-        if z <= 0:
-            raise DomainError(f"power utility marginal undefined at payoff {z}")
-        return z ** (-self.rho)
-
     def inverse(self, u: float) -> float:
         if self.kind == "linear":
             return u
@@ -116,7 +106,7 @@ class ConsumptionUtility:
         return z ** (1.0 - self.rho) / (1.0 - self.rho)
 
     def marginal_array(self, z: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`marginal`; the caller guarantees the domain."""
+        """Marginal utility at each payoff; the caller guarantees the domain."""
         z = np.asarray(z, dtype=float)
         if self.kind == "linear":
             return np.ones_like(z)
@@ -336,19 +326,13 @@ def solve_optimal_beliefs(lottery: DiscreteLottery, prefs: Preferences) -> Belie
     p = lottery.probs
     p_star = cutoff_probability(prefs)
 
-    # tail[j] = objective mass of states j..S-1; segment j lies between u[j] and u[j+1]
-    tail = [0.0] * (lottery.size + 1)
-    for j in range(lottery.size - 1, -1, -1):
-        tail[j] = tail[j + 1] + p[j]
-    signs = []
-    for j in range(lottery.size - 1):
-        c = tail[j + 1] - p_star
-        signs.append(0 if abs(c) <= _SLOPE_TIE_TOL else (1 if c > 0 else -1))
-
-    pos = [j for j, s in enumerate(signs) if s > 0]
-    neg = [j for j, s in enumerate(signs) if s < 0]
-    lo = u[max(pos) + 1] if pos else u[0]
-    hi = u[min(neg)] if neg else u[-1]
+    # Segment j lies between u[j] and u[j+1]; its slope has the sign of the mass
+    # of states j+1..S-1 minus p_star.  That mass falls as j grows, so the rising
+    # segments come first and the falling ones last.  (`slopes` runs from j = S-2 down.)
+    slopes = [tail - p_star for tail in itertools.accumulate(reversed(p[1:]))]
+    rising = sum(c > _SLOPE_TIE_TOL for c in slopes)
+    falling = sum(c < -_SLOPE_TIE_TOL for c in slopes)
+    lo, hi = u[rising], u[-1 - falling]
 
     mean = lottery.mean_utility
     expectation = mean if lo <= mean <= hi else lo

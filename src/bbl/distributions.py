@@ -18,8 +18,8 @@ first moment are prefix tables built once per distribution plus one cell's
 closed form, and its quantile is one cell's quadratic root.  Normal and
 mixture kinds use the closed-form cdf and partial moment, with the quantile
 found by a safeguarded Newton iteration.  Gauss-Legendre panel quadrature
-(``quad_nodes``, ``expect``) serves only the portfolio solvers and the
-cross-check against the closed forms.
+(``quad_nodes``) serves only the portfolio solvers and the cross-check
+against the closed forms.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, _fields, _finite, _finite_tuple
-from .preferences import Preferences, cutoff_probability
+from .preferences import _VERDICT_TOL, INDIFFERENT, LINEAR, Preferences, _verdict, cutoff_probability
 
 __all__ = [
     "NormalComponent",
@@ -52,7 +52,6 @@ __all__ = [
 
 PREFER_A = "prefer_a"
 PREFER_B = "prefer_b"
-INDIFFERENT = "indifferent"
 
 _SUPPORT_SIGMAS = 8.0
 _NEWTON_MAX_ITER = 100
@@ -310,13 +309,6 @@ class ContinuousDistribution:
         x, w = _panel_nodes(self._panel_edges(lo, hi))
         return x, w * self.pdf(x)
 
-    def expect(self, fn, lo: float | None = None, hi: float | None = None) -> float:
-        """Quadrature value of ``integral f(z) fn(z) dz`` over ``[lo, hi]``."""
-        x, w = self.quad_nodes(lo, hi)
-        if x.size == 0:
-            return 0.0
-        return float(w @ np.asarray(fn(x), dtype=float))
-
     # ---- serialization --------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -379,18 +371,14 @@ def partial_expectation_closed_form(dist: ContinuousDistribution, a: float) -> f
     return float(acc)
 
 
-def _require_linear_gain_loss(prefs: Preferences) -> None:
-    if prefs.gain_loss.kind != "linear":
-        raise ValueError("continuous belief kernel requires the linear gain-loss kind")
-
-
 def naive_value(dist: ContinuousDistribution, prefs: Preferences) -> float:
     """Ranking statistic of an agent who acts on her biased expectation alone.
 
     Payoffs are valued linearly, so this is just the subjective expectation
     at the agent's cutoff.
     """
-    _require_linear_gain_loss(prefs)
+    if prefs.gain_loss.kind != LINEAR:
+        raise ValueError("continuous belief kernel requires the linear gain-loss kind")
     return subjective_expectation(dist, cutoff_probability(prefs))
 
 
@@ -415,14 +403,14 @@ class ComparisonResult:
     value_a: float
     value_b: float
     verdict: str
-    tolerance: float
+    tolerance: float = _VERDICT_TOL
 
     def to_dict(self) -> dict:
         return {"value_a": self.value_a, "value_b": self.value_b, "verdict": self.verdict}
 
 
 def compare(dist_a: ContinuousDistribution, dist_b: ContinuousDistribution,
-            prefs: Preferences, agent_kind: str, tolerance: float = 1e-10) -> ComparisonResult:
+            prefs: Preferences, agent_kind: str) -> ComparisonResult:
     """Rank two lotteries for a naive or sophisticated agent."""
     if agent_kind == "naive":
         va, vb = naive_value(dist_a, prefs), naive_value(dist_b, prefs)
@@ -430,9 +418,4 @@ def compare(dist_a: ContinuousDistribution, dist_b: ContinuousDistribution,
         va, vb = sophisticated_value(dist_a, prefs), sophisticated_value(dist_b, prefs)
     else:
         raise ValueError(f"agent_kind must be 'naive' or 'sophisticated', got {agent_kind!r}")
-    diff = va - vb
-    if abs(diff) <= tolerance:
-        verdict = INDIFFERENT
-    else:
-        verdict = PREFER_A if diff > 0 else PREFER_B
-    return ComparisonResult(value_a=va, value_b=vb, verdict=verdict, tolerance=tolerance)
+    return ComparisonResult(value_a=va, value_b=vb, verdict=_verdict(va - vb, PREFER_A, PREFER_B))

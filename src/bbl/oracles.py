@@ -138,7 +138,7 @@ def grid_search_alpha(objective, bounds, n_points: int = 2001) -> tuple[float, f
     """Dense scan of a share objective with 3-point parabolic refinement."""
     if n_points < 2001:
         raise ValueError(f"grid scan needs at least 2001 points, got {n_points}")
-    lo, hi = float(bounds[0]), float(bounds[1])
+    lo, hi = _finite("bounds.lo", bounds[0]), _finite("bounds.hi", bounds[1])
     if lo >= hi:
         raise ValueError(f"bounds must satisfy lo < hi, got {bounds}")
     xs = np.linspace(lo, hi, n_points)

@@ -109,7 +109,7 @@ class PortfolioSolution:
 
 def _feasible_bounds(asset: Asset, utility: ConsumptionUtility, bounds) -> tuple[float, float]:
     """Bounds clipped to where wealth stays in the utility domain on the support."""
-    lo_b, hi_b = float(bounds[0]), float(bounds[1])
+    lo_b, hi_b = _finite("bounds.lo", bounds[0]), _finite("bounds.hi", bounds[1])
     if lo_b > hi_b:
         raise ValueError(f"bounds must satisfy lo <= hi, got {bounds}")
     if not utility.needs_positive_wealth:
@@ -123,8 +123,6 @@ def _feasible_bounds(asset: Asset, utility: ConsumptionUtility, bounds) -> tuple
             upper = min(upper, asset.r_f / (-z))
         elif asset.r_f <= 0:
             lower, upper = math.inf, -math.inf
-    if asset.r_f <= 0 and s_lo < 0 < s_hi:
-        lower, upper = math.inf, -math.inf
     margin = 1e-10 * max(1.0, abs(lower) if math.isfinite(lower) else 0.0,
                          abs(upper) if math.isfinite(upper) else 0.0)
     lo_eff = max(lo_b, lower + margin)
@@ -187,18 +185,13 @@ class _AssetGrid:
         return self._once(("region", alpha >= 0), build)
 
 
-def _utility_values(utility: ConsumptionUtility, r_f: float, alpha: float, x: np.ndarray):
-    """Utility at the wealth nodes, or None when wealth leaves the domain."""
-    wealth = r_f + alpha * x
+def _expected_utility(utility: ConsumptionUtility, r_f: float, a: float, x: np.ndarray,
+                      w: np.ndarray) -> float:
+    """``sum w u(r_f + a x)``, or ``-inf`` when wealth leaves the utility domain."""
+    wealth = r_f + a * x
     if utility.needs_positive_wealth and (wealth.size == 0 or wealth.min() <= 0):
-        return None
-    return utility.value_array(wealth)
-
-
-def _objective_or_ninf(values, weights) -> float:
-    if values is None:
         return -math.inf
-    return float(weights @ values)
+    return float(w @ utility.value_array(wealth))
 
 
 def rational_objective(asset: Asset, utility: ConsumptionUtility = ConsumptionUtility()):
@@ -210,7 +203,7 @@ def rational_objective(asset: Asset, utility: ConsumptionUtility = ConsumptionUt
     x, w = _AssetGrid(asset).nodes
 
     def objective(alpha: float) -> float:
-        return _objective_or_ninf(_utility_values(utility, asset.r_f, alpha, x), w)
+        return _expected_utility(utility, asset.r_f, alpha, x, w)
 
     return objective
 
@@ -223,12 +216,11 @@ def sophisticated_objective(asset: Asset, prefs: Preferences,
     overweight = prefs.lambda0 - 1.0
 
     def objective(alpha: float) -> float:
-        full = _utility_values(utility, asset.r_f, alpha, x)
-        if full is None:
-            return -math.inf
+        full = _expected_utility(utility, asset.r_f, alpha, x, w)
+        if full == -math.inf:
+            return full
         lx, lw = grid.loss_nodes(alpha)
-        loss = _utility_values(utility, asset.r_f, alpha, lx)
-        return prefs.eta * (float(w @ full) + overweight * float(lw @ loss))
+        return prefs.eta * (full + overweight * _expected_utility(utility, asset.r_f, alpha, lx, lw))
 
     return objective
 
@@ -263,7 +255,8 @@ def naive_fixed_objective(asset: Asset, prefs: Preferences,
                           utility: ConsumptionUtility = ConsumptionUtility(),
                           alpha: float = 0.0):
     """Subjective expected utility with beliefs frozen at the tilt for ``alpha``."""
-    return _naive_step_objective(_AssetGrid(asset, prefs), utility, alpha)
+    x, w = _naive_beliefs(_AssetGrid(asset, prefs), utility, alpha)
+    return lambda a: _expected_utility(utility, asset.r_f, a, x, w)
 
 
 def _naive_beliefs(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):
@@ -275,16 +268,6 @@ def _naive_beliefs(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):
         return grid.nodes
     reg, _, _, c_g, c_l, _ = _belief_tilt(grid, utility, alpha)
     return reg.x, np.concatenate((c_g * reg.w[:reg.k], c_l * reg.w[reg.k:]))
-
-
-def _naive_step_objective(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):
-    x, w = _naive_beliefs(grid, utility, alpha)
-    r_f = grid.asset.r_f
-
-    def objective(a: float) -> float:
-        return _objective_or_ninf(_utility_values(utility, r_f, a, x), w)
-
-    return objective
 
 
 def _best_share(x: np.ndarray, w: np.ndarray, r_f: float, utility: ConsumptionUtility,
@@ -334,7 +317,7 @@ def rational_alpha(asset: Asset, utility: ConsumptionUtility = ConsumptionUtilit
     lo, hi = _feasible_bounds(asset, utility, bounds)
     x, w = _AssetGrid(asset).nodes
     alpha, iters = _best_share(x, w, asset.r_f, utility, lo, hi)
-    value = float(w @ utility.value_array(asset.r_f + alpha * x))
+    value = _expected_utility(utility, asset.r_f, alpha, x, w)
     r_ce = None
     if alpha != 0.0:
         r_ce = (utility.inverse(value) - asset.r_f) / alpha
@@ -389,16 +372,18 @@ def naive_alpha(asset: Asset, prefs: Preferences,
                        for i in range(len(shares) - 1) if hs[i] * hs[i + 1] < 0]
 
     fixed = sorted({alpha for alpha in candidates if abs(gap(alpha)) <= _FIXED_POINT_TOL})
-    if not fixed:
-        alpha = min(samples, key=lambda s: abs(gap(s)))
-        return _finish_naive(grid, prefs, utility, alpha, len(evaluated), converged=False)
-
     best_alpha, best_total = None, -math.inf
     for alpha in fixed:
         total = _total_utility_at(grid, prefs, utility, alpha)
         if best_alpha is None or total > best_total + 1e-12:
             best_alpha, best_total = alpha, total
-    return _finish_naive(grid, prefs, utility, best_alpha, len(evaluated), converged=True)
+    if best_alpha is None:
+        best_alpha = min(samples, key=lambda s: abs(gap(s)))
+    x, w = _naive_beliefs(grid, utility, best_alpha)
+    belief_expectation, r_ce = _belief_finish(grid, utility, best_alpha)
+    return PortfolioSolution(alpha=best_alpha, belief_expectation=belief_expectation, r_ce=r_ce,
+                             value=_expected_utility(utility, asset.r_f, best_alpha, x, w),
+                             converged=bool(fixed), iterations=len(evaluated))
 
 
 def _belief_finish(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):
@@ -409,14 +394,6 @@ def _belief_finish(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):
         return utility.value(r_f), None
     expectation = utility.value(r_f + alpha * grid.cut(alpha))
     return expectation, (utility.inverse(expectation) - r_f) / alpha
-
-
-def _finish_naive(grid: _AssetGrid, prefs: Preferences, utility: ConsumptionUtility,
-                  alpha: float, iterations: int, converged: bool) -> PortfolioSolution:
-    value = _naive_step_objective(grid, utility, alpha)(alpha)
-    belief_expectation, r_ce = _belief_finish(grid, utility, alpha)
-    return PortfolioSolution(alpha=alpha, belief_expectation=belief_expectation, r_ce=r_ce,
-                             value=value, converged=converged, iterations=iterations)
 
 
 def sophisticated_alpha(asset: Asset, prefs: Preferences,
@@ -439,7 +416,7 @@ def sophisticated_alpha(asset: Asset, prefs: Preferences,
         x, w = np.concatenate((grid.nodes[0], lx)), np.concatenate((grid.nodes[1], overweight * lw))
         alpha, calls = _best_share(x, w, asset.r_f, utility, r_lo, r_hi)
         total_calls += calls
-        value = prefs.eta * float(w @ utility.value_array(asset.r_f + alpha * x))
+        value = prefs.eta * _expected_utility(utility, asset.r_f, alpha, x, w)
         if value > best_value + 1e-15 or (
             abs(value - best_value) <= 1e-15 and (best_alpha is None or alpha < best_alpha)
         ):

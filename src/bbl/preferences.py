@@ -34,6 +34,9 @@ __all__ = [
 LINEAR = "linear"
 GENERAL = "general"
 
+INDIFFERENT = "indifferent"
+_VERDICT_TOL = 1e-10  # two values this close or closer are a tie
+
 
 @dataclass(frozen=True)
 class GainLossSpec:
@@ -150,6 +153,13 @@ def eta_for_cutoff(p_star: float, lambda0: float) -> float:
     if not lambda0 > 1:
         raise ValueError(f"lambda must exceed 1, got {lambda0}")
     return 1.0 / (lambda0 - p_star * (lambda0 - 1.0))
+
+
+def _verdict(diff: float, above: str, below: str) -> str:
+    """``above`` or ``below`` by the sign of ``diff``; ``INDIFFERENT`` within ``_VERDICT_TOL``."""
+    if abs(diff) <= _VERDICT_TOL:
+        return INDIFFERENT
+    return above if diff > 0 else below
 
 
 def loss_multiplier(x: float, prefs: Preferences) -> float:

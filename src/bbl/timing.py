@@ -13,16 +13,13 @@ import math
 from dataclasses import dataclass
 
 from .beliefs import DiscreteLottery, _check_belief_vector, solve_optimal_beliefs, total_utility
-from .preferences import Preferences, gain_loss
+from .preferences import _VERDICT_TOL, INDIFFERENT, Preferences, _verdict, gain_loss
 
 __all__ = ["TimingVerdict", "utility_early", "utility_wait", "timing_preference",
            "EARLY", "WAIT", "INDIFFERENT"]
 
 EARLY = "early"
 WAIT = "wait"
-INDIFFERENT = "indifferent"
-
-DEFAULT_TIMING_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -30,7 +27,7 @@ class TimingVerdict:
     u_early: float
     u_wait: float
     verdict: str
-    tolerance: float = DEFAULT_TIMING_TOL
+    tolerance: float = _VERDICT_TOL
 
     def to_dict(self) -> dict:
         return {"u_early": self.u_early, "u_wait": self.u_wait, "verdict": self.verdict}
@@ -50,15 +47,9 @@ def utility_wait(lottery: DiscreteLottery, q, prefs: Preferences) -> float:
     return total_utility(lottery, q, prefs)
 
 
-def timing_preference(lottery: DiscreteLottery, prefs: Preferences,
-                      tolerance: float = DEFAULT_TIMING_TOL) -> TimingVerdict:
+def timing_preference(lottery: DiscreteLottery, prefs: Preferences) -> TimingVerdict:
     """Early/wait verdict at the agent's canonical optimal beliefs."""
     solution = solve_optimal_beliefs(lottery, prefs)
     u_early = utility_early(lottery, solution.q, prefs)
     u_wait = utility_wait(lottery, solution.q, prefs)
-    diff = u_early - u_wait
-    if abs(diff) <= tolerance:
-        verdict = INDIFFERENT
-    else:
-        verdict = EARLY if diff > 0 else WAIT
-    return TimingVerdict(u_early=u_early, u_wait=u_wait, verdict=verdict, tolerance=tolerance)
+    return TimingVerdict(u_early=u_early, u_wait=u_wait, verdict=_verdict(u_early - u_wait, EARLY, WAIT))

@@ -55,9 +55,11 @@ class TestLottery:
 
     def test_marginal_array_matches_scalar(self):
         z = np.array([0.25, 1.0, 3.5])
-        for utility in (ConsumptionUtility(), ConsumptionUtility("log"), ConsumptionUtility("power", 2.0),
-                        ConsumptionUtility("power", 0.5)):
-            expected = [utility.marginal(v) for v in z]
+        for utility, marginal in ((ConsumptionUtility(), lambda v: 1.0),
+                                  (ConsumptionUtility("log"), lambda v: 1.0 / v),
+                                  (ConsumptionUtility("power", 2.0), lambda v: v ** -2.0),
+                                  (ConsumptionUtility("power", 0.5), lambda v: v ** -0.5)):
+            expected = [marginal(float(v)) for v in z]
             assert utility.marginal_array(z) == pytest.approx(expected, rel=1e-15)
 
     def test_log_domain(self):

@@ -9,6 +9,7 @@ from bbl.cli import run
 LOTTERY = '{"payoffs":[0,1],"probs":[0.1,0.9]}'
 PREFS = '{"eta":0.8,"lambda":2.25}'
 NORMAL = '{"normal":{"mean":1,"sd":1}}'
+ASSET = '{"r_f":1,"excess":{"normal":{"mean":0.05,"sd":0.2}}}'
 
 
 @pytest.fixture
@@ -205,6 +206,31 @@ class TestVerify:
         asset = Asset(1.0, ContinuousDistribution.normal(0.05, 0.2))
         solution = rational_alpha(asset, ConsumptionUtility("power", 2.0))
         assert payload["alpha"] == pytest.approx(solution.alpha, abs=0.01)
+
+    def test_alpha_oracle_sophisticated(self, cli):
+        from bbl import Asset, ConsumptionUtility, ContinuousDistribution, Preferences, grid_search_alpha
+        from bbl.portfolio import sophisticated_objective
+
+        code, out, _ = cli("verify", "alpha", "--asset", ASSET, "--utility", '{"kind":"power","rho":2}',
+                           "--agent", "sophisticated", "--prefs", PREFS, "--bounds=-1:1")
+        assert code == 0
+        objective = sophisticated_objective(Asset(1.0, ContinuousDistribution.normal(0.05, 0.2)),
+                                            Preferences(eta=0.8, lambda0=2.25), ConsumptionUtility("power", 2.0))
+        alpha, value = grid_search_alpha(objective, (-1.0, 1.0))
+        assert json.loads(out) == {"alpha": float(f"{alpha:.10g}"), "value": float(f"{value:.10g}")}
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("beliefs",), "--lottery"),
+        (("beliefs", "--lottery", LOTTERY), "--prefs"),
+        (("alpha",), "--asset"),
+        (("alpha", "--asset", ASSET, "--agent", "naive"), "--prefs"),
+        (("alpha", "--asset", ASSET, "--agent", "sophisticated"), "--prefs"),
+    ])
+    def test_missing_input_named(self, cli, argv, flag):
+        code, out, err = cli("verify", *argv)
+        assert code == 1
+        assert out == ""
+        assert flag in err
 
 
 class TestErrors:

@@ -434,6 +434,22 @@ class TestFixedShareBounds:
             assert sol.converged
 
 
+class TestNonFiniteBounds:
+    """A NaN or infinite bound is an input error that names the bound, never a hang."""
+
+    @pytest.mark.parametrize("bounds, name", [((float("nan"), 1.0), "bounds.lo"), ((-1.0, float("nan")), "bounds.hi"),
+                                              ((-np.inf, 1.0), "bounds.lo"), ((-1.0, np.inf), "bounds.hi")])
+    @pytest.mark.parametrize("utility", [LINEAR, ConsumptionUtility("power", 2.0)])
+    def test_every_agent_and_the_scan_name_the_bound(self, bounds, name, utility):
+        prefs = prefs_for(0.6)
+        for solve in (lambda: rational_alpha(NORMAL_ASSET, utility, bounds),
+                      lambda: naive_alpha(NORMAL_ASSET, prefs, utility, bounds),
+                      lambda: sophisticated_alpha(NORMAL_ASSET, prefs, utility, bounds),
+                      lambda: grid_search_alpha(rational_objective(NORMAL_ASSET, utility), bounds)):
+            with pytest.raises(ValueError, match=name):
+                solve()
+
+
 class TestSolutionInvariants:
     def test_round_trip_belief_expectation(self, calibrated_asset, power2):
         for p_star in (0.25, 0.75):
