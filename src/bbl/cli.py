@@ -112,24 +112,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--eta", type=float)
     p.add_argument("--lambda", dest="lambda0", type=float, required=True)
     p.add_argument("--p-star", dest="p_star", type=float)
-    p.add_argument("--output", "-o")
 
-    p = sub.add_parser("beliefs", help="solve for optimal subjective beliefs")
-    p.add_argument("--lottery", required=True)
-    p.add_argument("--prefs", required=True)
-    p.add_argument("--output", "-o")
-
-    p = sub.add_parser("timing", help="early-versus-wait information verdict")
-    p.add_argument("--lottery", required=True)
-    p.add_argument("--prefs", required=True)
-    p.add_argument("--output", "-o")
+    for name, text in (("beliefs", "solve for optimal subjective beliefs"),
+                       ("timing", "early-versus-wait information verdict")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--lottery", required=True)
+        p.add_argument("--prefs", required=True)
 
     p = sub.add_parser("compare", help="rank two continuous lotteries")
     p.add_argument("--dist-a", required=True)
     p.add_argument("--dist-b", required=True)
     p.add_argument("--prefs", required=True)
     p.add_argument("--agent", choices=["naive", "sophisticated"], required=True)
-    p.add_argument("--output", "-o")
 
     p = sub.add_parser("portfolio", help="solve the risky-share problem")
     p.add_argument("--asset", required=True)
@@ -137,14 +131,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--prefs")
     p.add_argument("--utility")
     p.add_argument("--bounds")
-    p.add_argument("--output", "-o")
 
     p = sub.add_parser("equilibrium", help="price sweep over the cutoff grid")
     p.add_argument("--dist", required=True)
     p.add_argument("--lambda", dest="lambda0", type=float, required=True)
     p.add_argument("--grid", default="0.05:0.95:0.01")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--output", "-o")
 
     p = sub.add_parser("verify", help="rerun a solver against its brute-force oracle")
     p.add_argument("target", choices=["beliefs", "alpha"])
@@ -158,7 +150,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--utility")
     p.add_argument("--bounds")
     p.add_argument("--n", type=int, default=2001)
-    p.add_argument("--output", "-o")
+    for p in sub.choices.values():
+        p.add_argument("--output", "-o")
     return parser
 
 
@@ -173,17 +166,12 @@ def _cmd_pstar(args) -> int:
     return 0
 
 
-def _cmd_beliefs(args) -> int:
+def _cmd_lottery(args) -> int:
+    """``beliefs`` and ``timing``: one solver on a lottery and preferences."""
     lottery = DiscreteLottery.from_dict(_load_json("--lottery", args.lottery))
     prefs = Preferences.from_dict(_load_json("--prefs", args.prefs))
-    _emit_json(solve_optimal_beliefs(lottery, prefs).to_dict(), args.output)
-    return 0
-
-
-def _cmd_timing(args) -> int:
-    lottery = DiscreteLottery.from_dict(_load_json("--lottery", args.lottery))
-    prefs = Preferences.from_dict(_load_json("--prefs", args.prefs))
-    _emit_json(timing_preference(lottery, prefs).to_dict(), args.output)
+    solve = solve_optimal_beliefs if args.command == "beliefs" else timing_preference
+    _emit_json(solve(lottery, prefs).to_dict(), args.output)
     return 0
 
 
@@ -195,22 +183,24 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _portfolio_inputs(args):
+def _portfolio_inputs(args, command: str):
+    """Asset, utility, bounds and the preferences, None for the rational agent."""
     asset = Asset.from_dict(_load_json("--asset", args.asset))
     utility = (ConsumptionUtility.from_dict(_load_json("--utility", args.utility))
                if args.utility else ConsumptionUtility())
     bounds = DEFAULT_BOUNDS if args.bounds is None else _parse_colon("--bounds", args.bounds, ("lo", "hi"))
-    return asset, utility, bounds
+    if args.agent == "rational":
+        return asset, utility, bounds, None
+    if args.prefs is None:
+        raise ValueError(f"{command}: agent {args.agent!r} requires --prefs")
+    return asset, utility, bounds, Preferences.from_dict(_load_json("--prefs", args.prefs))
 
 
 def _cmd_portfolio(args) -> int:
-    asset, utility, bounds = _portfolio_inputs(args)
-    if args.agent == "rational":
+    asset, utility, bounds, prefs = _portfolio_inputs(args, "portfolio")
+    if prefs is None:
         solution = rational_alpha(asset, utility, bounds)
     else:
-        if args.prefs is None:
-            raise ValueError(f"portfolio: agent {args.agent!r} requires --prefs")
-        prefs = Preferences.from_dict(_load_json("--prefs", args.prefs))
         solve = naive_alpha if args.agent == "naive" else sophisticated_alpha
         solution = solve(asset, prefs, utility, bounds)
     _emit_json(solution.to_dict(), args.output)
@@ -273,18 +263,14 @@ def _cmd_verify(args) -> int:
 
     if args.asset is None:
         raise ValueError("verify alpha: provide --asset")
-    asset, utility, bounds = _portfolio_inputs(args)
-    if args.agent == "rational":
+    asset, utility, bounds, prefs = _portfolio_inputs(args, "verify alpha")
+    if prefs is None:
         objective = rational_objective(asset, utility)
+    elif args.agent == "sophisticated":
+        objective = sophisticated_objective(asset, prefs, utility)
     else:
-        if args.prefs is None:
-            raise ValueError(f"verify alpha: agent {args.agent!r} requires --prefs")
-        prefs = Preferences.from_dict(_load_json("--prefs", args.prefs))
-        if args.agent == "sophisticated":
-            objective = sophisticated_objective(asset, prefs, utility)
-        else:
-            solution = naive_alpha(asset, prefs, utility, bounds)
-            objective = naive_fixed_objective(asset, prefs, utility, solution.alpha)
+        solution = naive_alpha(asset, prefs, utility, bounds)
+        objective = naive_fixed_objective(asset, prefs, utility, solution.alpha)
     alpha, value = grid_search_alpha(objective, bounds, args.n)
     _emit_json({"alpha": alpha, "value": value}, args.output)
     return 0
@@ -292,8 +278,8 @@ def _cmd_verify(args) -> int:
 
 _COMMANDS = {
     "pstar": _cmd_pstar,
-    "beliefs": _cmd_beliefs,
-    "timing": _cmd_timing,
+    "beliefs": _cmd_lottery,
+    "timing": _cmd_lottery,
     "compare": _cmd_compare,
     "portfolio": _cmd_portfolio,
     "equilibrium": _cmd_equilibrium,

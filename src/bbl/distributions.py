@@ -17,9 +17,9 @@ Both are exact.  A tabulated density is linear on each cell, so its mass and
 first moment are prefix tables built once per distribution plus one cell's
 closed form, and its quantile is one cell's quadratic root.  Normal and
 mixture kinds use the closed-form cdf and partial moment, with the quantile
-found by a safeguarded Newton iteration.  Gauss-Legendre panel quadrature
-(``quad_nodes``) serves only the portfolio solvers and the cross-check
-against the closed forms.
+found by safeguarded Newton steps that evaluate cdf and density with ``math``.
+Gauss-Legendre panel quadrature (``quad_nodes``, the array density's caller)
+serves only the portfolio solvers and the cross-check against the closed forms.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _norm_pdf(z: np.ndarray | float, mean: float, sd: float):
     t = (z - mean) / sd
-    return np.exp(-0.5 * t * t) / (sd * math.sqrt(2.0 * math.pi))
+    return (math.exp if isinstance(t, float) else np.exp)(-0.5 * t * t) / (sd * math.sqrt(2.0 * math.pi))
 
 
 def _norm_cdf(z: float, mean: float, sd: float) -> float:
@@ -208,12 +208,16 @@ class ContinuousDistribution:
         return lo, hi
 
     def pdf(self, z):
-        z = np.asarray(z, dtype=float)
+        """Density at ``z``: float in, float out (numpy-free for normal and mixture); array in, array out."""
+        scalar = self.kind != "tabulated" and isinstance(z, float)
+        z = z if scalar else np.asarray(z, dtype=float)
         if self.kind == "tabulated":
             out = np.interp(z, self.grid, self.density, left=0.0, right=0.0)
         else:
-            out = sum(c.weight * _norm_pdf(z, c.mean, c.sd) for c in self.components)
-        return float(out) if np.isscalar(z) or z.ndim == 0 else out
+            out = 0.0
+            for c in self.components:
+                out += c.weight * _norm_pdf(z, c.mean, c.sd)
+        return out if scalar or z.ndim else float(out)
 
     def _cell_head(self, z: float) -> tuple[float, float]:
         """Mass and first moment of a tabulated density from ``grid[0]`` to an
@@ -232,7 +236,10 @@ class ContinuousDistribution:
             if z >= self.grid[-1]:
                 return 1.0
             return self._cell_head(z)[0]
-        return sum(c.weight * _norm_cdf(z, c.mean, c.sd) for c in self.components)
+        out = 0.0
+        for c in self.components:
+            out += c.weight * _norm_cdf(z, c.mean, c.sd)
+        return out
 
     def mean(self) -> float:
         if self.kind == "tabulated":
@@ -243,8 +250,8 @@ class ContinuousDistribution:
         """Smallest z on the effective support with cdf(z) >= p.
 
         Tabulated: the root of one cell's quadratic cdf.  Normal and mixture:
-        Newton steps on the closed-form cdf inside a bracket of the support,
-        with a bisection step wherever Newton would leave the bracket.
+        Newton steps (one ``cdf`` and one float ``pdf`` call each, no numpy) inside
+        a bracket of the support, bisecting wherever Newton would leave the bracket.
         """
         if not 0.0 < p < 1.0:
             raise DomainError(f"quantile defined only for probabilities in (0, 1), got {p}")
@@ -389,13 +396,13 @@ def sophisticated_value(dist: ContinuousDistribution, prefs: Preferences) -> flo
     leaving the objective mean plus an extra ``(lambda-1)`` weighting of the
     loss region below the subjective expectation (payoffs valued linearly).
     """
-    return sophisticated_value_at(dist, prefs, naive_value(dist, prefs), dist.mean())
+    return sophisticated_value_at(dist, prefs.eta, prefs.lambda0, naive_value(dist, prefs), dist.mean())
 
 
-def sophisticated_value_at(dist: ContinuousDistribution, prefs: Preferences,
+def sophisticated_value_at(dist: ContinuousDistribution, eta: float, lambda0: float,
                            expectation: float, mean: float) -> float:
-    """``sophisticated_value`` from the subjective expectation and mean already in hand."""
-    return prefs.eta * (mean + (prefs.lambda0 - 1.0) * partial_expectation(dist, expectation))
+    """``sophisticated_value`` at ``(eta, lambda0)``, given the subjective expectation and mean."""
+    return eta * (mean + (lambda0 - 1.0) * partial_expectation(dist, expectation))
 
 
 @dataclass(frozen=True)

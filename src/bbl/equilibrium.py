@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence, TextIO
 
 from ._roots import _brent_root
@@ -30,7 +30,7 @@ from .distributions import (
     subjective_expectation,
 )
 from .errors import _finite
-from .preferences import Preferences, eta_for_cutoff
+from .preferences import Preferences, _cutoff, _eta, _loss_aversion
 
 __all__ = [
     "EquilibriumPoint",
@@ -58,13 +58,7 @@ class EquilibriumPoint:
     pi_sophisticated: float
 
     def to_dict(self) -> dict:
-        return {
-            "p_star": self.p_star,
-            "eta": self.eta,
-            "pi_rational": self.pi_rational,
-            "pi_naive": self.pi_naive,
-            "pi_sophisticated": self.pi_sophisticated,
-        }
+        return asdict(self)
 
 
 def naive_price(dist: ContinuousDistribution, prefs: Preferences) -> float:
@@ -99,24 +93,30 @@ def default_grid(start: float = 0.05, end: float = 0.95, step: float = 0.01) -> 
 
 def sweep(dist: ContinuousDistribution, lambda0: float,
           p_star_grid: Iterable[float] | None = None) -> list[EquilibriumPoint]:
-    """Equilibrium prices across a grid of cutoffs at fixed ``lambda0``."""
+    """Equilibrium prices across a grid of cutoffs at fixed ``lambda0``.
+
+    Validates the grid, then ``lambda0``, once (with the errors of ``eta_for_cutoff``);
+    each row is then one subjective expectation and one partial moment.  The cutoff
+    takes the round trip ``p_star -> eta -> cutoff_probability``, so each row equals
+    ``naive_price`` and ``sophisticated_price`` at ``Preferences(eta, lambda0)``.
+    """
     grid = tuple(p_star_grid) if p_star_grid is not None else default_grid()
     if not grid:
         raise ValueError("p_star grid is empty")
     if any(not 0.0 < p < 1.0 for p in grid):
         raise ValueError("p_star grid must lie strictly inside (0, 1)")
+    lambda0 = _loss_aversion(lambda0)
     mean = dist.mean()
     points = []
     for p_star in sorted(grid):
-        eta = eta_for_cutoff(p_star, lambda0)
-        prefs = Preferences(eta=eta, lambda0=lambda0)
-        expectation = naive_value(dist, prefs)
+        eta = _eta(float(p_star), lambda0)
+        expectation = subjective_expectation(dist, _cutoff(eta, lambda0))
         points.append(EquilibriumPoint(
             p_star=p_star,
             eta=eta,
             pi_rational=eta * mean,
-            pi_naive=prefs.eta * expectation,
-            pi_sophisticated=sophisticated_value_at(dist, prefs, expectation, mean),
+            pi_naive=eta * expectation,
+            pi_sophisticated=sophisticated_value_at(dist, eta, lambda0, expectation, mean),
         ))
     return points
 

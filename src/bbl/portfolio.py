@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -97,14 +97,7 @@ class PortfolioSolution:
     iterations: int
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "belief_expectation": self.belief_expectation,
-            "r_ce": self.r_ce,
-            "value": self.value,
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
+        return asdict(self)
 
 
 def _feasible_bounds(asset: Asset, utility: ConsumptionUtility, bounds) -> tuple[float, float]:
@@ -255,7 +248,7 @@ def naive_fixed_objective(asset: Asset, prefs: Preferences,
                           utility: ConsumptionUtility = ConsumptionUtility(),
                           alpha: float = 0.0):
     """Subjective expected utility with beliefs frozen at the tilt for ``alpha``."""
-    x, w = _naive_beliefs(_AssetGrid(asset, prefs), utility, alpha)
+    x, w = _naive_beliefs(_AssetGrid(asset, prefs), utility, _finite("alpha", alpha))
     return lambda a: _expected_utility(utility, asset.r_f, a, x, w)
 
 
@@ -430,6 +423,7 @@ def sophisticated_alpha(asset: Asset, prefs: Preferences,
 def certainty_equivalent_excess(asset: Asset, alpha: float, prefs: Preferences,
                                 utility: ConsumptionUtility = ConsumptionUtility()) -> float:
     """Sure excess return matching the subjective expected utility at ``alpha``."""
+    alpha = _finite("alpha", alpha)
     if alpha == 0.0:
         raise DomainError("certainty-equivalent excess return is undefined at alpha = 0")
     return _belief_finish(_AssetGrid(asset, prefs), utility, alpha)[1]

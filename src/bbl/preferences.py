@@ -105,8 +105,7 @@ class Preferences:
         object.__setattr__(self, "gamma", _finite("gamma", self.gamma))
         if not 0 < self.eta <= 1:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        if not self.lambda0 > 1:
-            raise ValueError(f"lambda must exceed 1, got {self.lambda0}")
+        _loss_aversion(self.lambda0)
         if not 0 <= self.gamma <= 1:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.gain_loss.kind == GENERAL and not self.eta * self.gain_loss.beta < 1:
@@ -142,7 +141,11 @@ def cutoff_probability(prefs: Preferences) -> float:
     caller can detect the always-optimistic regime ``eta < 1/lambda`` through
     a negative value.
     """
-    return (prefs.eta * prefs.lambda0 - 1.0) / (prefs.eta * (prefs.lambda0 - 1.0))
+    return _cutoff(prefs.eta, prefs.lambda0)
+
+
+def _cutoff(eta: float, lambda0: float) -> float:
+    return (eta * lambda0 - 1.0) / (eta * (lambda0 - 1.0))
 
 
 def eta_for_cutoff(p_star: float, lambda0: float) -> float:
@@ -150,8 +153,18 @@ def eta_for_cutoff(p_star: float, lambda0: float) -> float:
     p_star, lambda0 = _finite("p_star", p_star), _finite("lambda", lambda0)
     if not 0 <= p_star <= 1:
         raise ValueError(f"p_star must lie in [0, 1], got {p_star}")
+    return _eta(p_star, _loss_aversion(lambda0))
+
+
+def _loss_aversion(lambda0) -> float:
+    """``lambda0`` as a float; ValueError naming ``lambda`` unless it is finite and exceeds 1."""
+    lambda0 = _finite("lambda", lambda0)
     if not lambda0 > 1:
         raise ValueError(f"lambda must exceed 1, got {lambda0}")
+    return lambda0
+
+
+def _eta(p_star: float, lambda0: float) -> float:
     return 1.0 / (lambda0 - p_star * (lambda0 - 1.0))
 
 

@@ -46,6 +46,14 @@ class TestPstar:
         assert out.stdout == "0.8\n"
 
 
+def test_import_leaves_out_scipy_and_statistics():
+    """Start-up pays for numpy alone: no closed-form-quantile shortcut through scipy or statistics."""
+    code = "import sys, bbl.cli; print([m for m in ('scipy', 'statistics') if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
 class TestBeliefs:
     def test_two_state_example(self, cli):
         code, out, _ = cli("beliefs", "--lottery", LOTTERY, "--prefs", PREFS)
@@ -267,6 +275,14 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert field in err
+
+    @pytest.mark.parametrize("lam, message", [("1", "lambda must exceed 1, got 1.0"),
+                                              ("nan", "lambda must be a finite number, got nan")])
+    def test_bad_lambda(self, cli, lam, message):
+        code, out, err = cli("equilibrium", "--dist", NORMAL, "--lambda", lam)
+        assert code == 1
+        assert out == ""
+        assert err == f"bbl: error: {message}\n"
 
     def test_bad_grid(self, cli):
         code, _, err = cli("equilibrium", "--dist", NORMAL, "--lambda", "2.25",

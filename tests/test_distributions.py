@@ -328,6 +328,36 @@ class TestExactKernel:
         assert worst <= 12
 
 
+class TestFloatDensity:
+    """``pdf`` at a Python float skips numpy, and agrees with the array density."""
+
+    @staticmethod
+    def check(dist):
+        lo, hi = dist.support
+        spread = max(c.sd for c in dist.components)
+        # the support, then out to 45 sd past the mean, where every component underflows to 0
+        zs = np.concatenate([np.linspace(lo, hi, 161), dist.mean() + spread * np.linspace(-45.0, 45.0, 91)])
+        underflows = 0
+        for z in zs.tolist():
+            got, want = dist.pdf(z), dist.pdf(np.array([z]))[0]
+            assert type(got) is float
+            # numpy's exp is up to 2 ulp from math.exp: at most 2 ulp per component
+            assert abs(got - want) <= 2 * len(dist.components) * math.ulp(max(got, want)), z
+            underflows += got == 0.0
+        assert underflows > 0
+
+    def test_normal_corpus(self):
+        rng = np.random.default_rng(7)
+        for dist in [N01, N11, N02] + [ContinuousDistribution.normal(rng.uniform(-3.0, 3.0), rng.uniform(0.05, 3.0))
+                                       for _ in range(40)]:
+            self.check(dist)
+
+    def test_mixture_corpus(self):
+        rng = np.random.default_rng(8)
+        for dist in [SKEWED] + [random_mixture(rng) for _ in range(60)]:
+            self.check(dist)
+
+
 class TestValues:
     def test_naive_symmetric_median(self):
         assert naive_value(N01, prefs_for(0.5)) == pytest.approx(0.0, abs=1e-15)

@@ -43,6 +43,24 @@ def threshold_corpus(seed, count):
     return dists
 
 
+def sweep_corpus(seed, count):
+    """``count`` each of normal, two-component mixture and 601-point tabulated densities,
+    each with its own lambda."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        w = rng.uniform(0.1, 0.9)
+        z = np.linspace(rng.uniform(-6.0, -3.0), rng.uniform(3.0, 6.0), 601)
+        f = np.exp(-0.5 * ((z - rng.uniform(-1.5, 1.5)) / rng.uniform(0.3, 2.0)) ** 2) + 0.01
+        f /= np.sum((f[1:] + f[:-1]) * np.diff(z)) / 2.0
+        for dist in (ContinuousDistribution.normal(rng.uniform(-2.0, 2.0), rng.uniform(0.05, 3.0)),
+                     ContinuousDistribution.mixture([(w, rng.uniform(-1.0, 3.0), rng.uniform(0.1, 2.0)),
+                                                     (1.0 - w, rng.uniform(-3.0, 1.0), rng.uniform(0.1, 2.0))]),
+                     ContinuousDistribution.tabulated(z.tolist(), f.tolist())):
+            out.append((dist, float(rng.uniform(1.05, 4.0))))
+    return out
+
+
 def prefs_for(p_star):
     return Preferences(eta=eta_for_cutoff(p_star, LAM), lambda0=LAM)
 
@@ -171,6 +189,39 @@ class TestSweep:
         for pt in figure_sweep[::10]:
             assert pt.pi_naive == pytest.approx(
                 pt.eta * subjective_expectation(N11, pt.p_star), abs=1e-12)
+
+    @pytest.mark.parametrize("dist, lam", sweep_corpus(15, 30), ids=lambda v: getattr(v, "kind", ""))
+    def test_rows_equal_the_per_row_prices(self, dist, lam):
+        """The sweep prices rows from the kernels directly; each row still equals the
+        public per-row functions at ``Preferences(eta_for_cutoff(p_star, lambda), lambda)``."""
+        rel = 0.0 if dist.kind == "tabulated" else 1e-13
+        mean = dist.mean()
+        rows = sweep(dist, lam)
+        assert [pt.p_star for pt in rows] == list(default_grid())
+        for pt in rows:
+            eta = eta_for_cutoff(pt.p_star, lam)
+            prefs = Preferences(eta, lam)
+            assert pt.eta == eta
+            assert pt.pi_rational == eta * mean
+            assert pt.pi_naive == pytest.approx(naive_price(dist, prefs), rel=rel, abs=0.0)
+            assert pt.pi_sophisticated == pytest.approx(sophisticated_price(dist, prefs), rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("lam", [1.0, 0.5, math.nan, math.inf])
+    def test_lambda_validated_once_before_any_row(self, lam, monkeypatch):
+        with pytest.raises(ValueError) as want:
+            eta_for_cutoff(0.5, lam)
+        quantiles = []
+        quantile = ContinuousDistribution.quantile
+        monkeypatch.setattr(ContinuousDistribution, "quantile",
+                            lambda dist, p: quantiles.append(p) or quantile(dist, p))
+        for dist, _ in sweep_corpus(16, 1):
+            with pytest.raises(ValueError) as got:
+                sweep(dist, lam)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).startswith("lambda must ")
+        assert quantiles == []
+        with pytest.raises(ValueError, match="empty"):  # the grid is checked first
+            sweep(N11, lam, [])
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

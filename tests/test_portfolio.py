@@ -388,6 +388,17 @@ class TestCertaintyEquivalent:
         with pytest.raises(DomainError):
             certainty_equivalent_excess(calibrated_asset, 0.0, prefs_for(0.5), LINEAR)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("utility", [LINEAR, ConsumptionUtility("power", 2.0)])
+    def test_non_finite_share_named(self, alpha, utility):
+        """On the README asset at eta = 0.7 a NaN or infinite share is an input error
+        naming ``alpha``, not a NaN result (nor a numpy warning on the way to one)."""
+        prefs = Preferences(0.7, 2.25)
+        with pytest.raises(ValueError, match="alpha"):
+            certainty_equivalent_excess(NORMAL_ASSET, alpha, prefs, utility)
+        with pytest.raises(ValueError, match="alpha"):
+            naive_fixed_objective(NORMAL_ASSET, prefs, utility, alpha)
+
 
 class TestLazyGrid:
     """A solver builds only the quadrature node sets it reads."""
