@@ -16,10 +16,14 @@ The two quantities everything else is assembled from are
 Both are exact.  A tabulated density is linear on each cell, so its mass and
 first moment are prefix tables built once per distribution plus one cell's
 closed form, and its quantile is one cell's quadratic root.  Normal and
-mixture kinds use the closed-form cdf and partial moment, with the quantile
-found by safeguarded Newton steps that evaluate cdf and density with ``math``.
-Gauss-Legendre panel quadrature (``quad_nodes``, the array density's caller)
-serves only the portfolio solvers and the cross-check against the closed forms.
+mixture kinds use the closed-form cdf (``0.5 * erfc``, accurate in the lower
+tail) and partial moment, with the quantile found by safeguarded Newton steps
+that evaluate cdf and density with ``math``, started from Wichura's AS241
+normal quantile: one step for a normal.  Each normal or mixture computes its
+support, Newton constants and per-component constants once, at construction.
+Gauss-Legendre panel quadrature (``quad_nodes``, the array density's caller;
+equal panels over each component's envelope, its node mass checked against the
+cdf) serves only the portfolio solvers and the cross-check against the closed forms.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +62,14 @@ _SUPPORT_SIGMAS = 8.0
 _NEWTON_MAX_ITER = 100
 _NEWTON_X_TOL = 1e-15  # relative to the width of the support
 _GL_ORDER = 20  # Gauss-Legendre nodes per panel
-_GL_PANELS = 64  # equal panels over a normal or mixture support
+_GL_PANELS = 64  # equal panels over each normal component's envelope
+# Node mass within this of the cdf's: the nodes of a mixture whose components' sds differ
+# by up to 1e5 (means within 5) miss by at most 6.3e-12, from rounding the nodes of the
+# narrowest component; a component the panels do not resolve loses far more.
+_NODE_MASS_TOL = 1e-10
 _TABULATED_MASS_TOL = 1e-8
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @lru_cache(maxsize=1)
@@ -77,20 +88,54 @@ def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x.ravel(), w.ravel()
 
 
-def _norm_pdf(z: np.ndarray | float, mean: float, sd: float):
+def _norm_pdf(z: np.ndarray | float, mean: float, sd: float, sd_sqrt_2pi: float):
     t = (z - mean) / sd
-    return (math.exp if isinstance(t, float) else np.exp)(-0.5 * t * t) / (sd * math.sqrt(2.0 * math.pi))
+    return (math.exp if isinstance(t, float) else np.exp)(-0.5 * t * t) / sd_sqrt_2pi
 
 
-def _norm_cdf(z: float, mean: float, sd: float) -> float:
-    return 0.5 * (1.0 + math.erf((z - mean) / (sd * math.sqrt(2.0))))
+def _norm_cdf(z: float, mean: float, sd_sqrt2: float) -> float:
+    # erfc of the distance below the mean keeps full relative accuracy in the lower tail,
+    # where 0.5 * (1 + erf) cancels
+    return 0.5 * math.erfc((mean - z) / sd_sqrt2)
 
 
-def _approx_norm_quantile(p: float) -> float:
-    """Standard normal quantile within 4.5e-4 (Abramowitz & Stegun 26.2.23): a Newton start."""
-    t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
-    x = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
-    return x if p > 0.5 else -x
+def _norm_quantile(p: float) -> float:
+    """Standard normal quantile for 0 < p < 1 within about 1e-16 relative: Wichura's
+    AS241 (PPND16, *Applied Statistics* 37(3), 1988), as in CPython's ``statistics``."""
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        r = 0.180625 - q * q
+        num = (((((((2.5090809287301226727e+3 * r + 3.3430575583588128105e+4) * r
+                    + 6.7265770927008700853e+4) * r + 4.5921953931549871457e+4) * r
+                  + 1.3731693765509461125e+4) * r + 1.9715909503065514427e+3) * r
+                + 1.3314166789178437745e+2) * r + 3.3871328727963666080e+0) * q
+        den = (((((((5.2264952788528545610e+3 * r + 2.8729085735721942674e+4) * r
+                    + 3.9307895800092710610e+4) * r + 2.1213794301586595867e+4) * r
+                  + 5.3941960214247511077e+3) * r + 6.8718700749205790830e+2) * r
+                + 4.2313330701600911252e+1) * r + 1.0)
+        return num / den
+    r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
+    if r <= 5.0:
+        r -= 1.6
+        num = (((((((7.74545014278341407640e-4 * r + 2.27238449892691845833e-2) * r
+                    + 2.41780725177450611770e-1) * r + 1.27045825245236838258e+0) * r
+                  + 3.64784832476320460504e+0) * r + 5.76949722146069140550e+0) * r
+                + 4.63033784615654529590e+0) * r + 1.42343711074968357734e+0)
+        den = (((((((1.05075007164441684324e-9 * r + 5.47593808499534494600e-4) * r
+                    + 1.51986665636164571966e-2) * r + 1.48103976427480074590e-1) * r
+                  + 6.89767334985100004550e-1) * r + 1.67638483018380384940e+0) * r
+                + 2.05319162663775882187e+0) * r + 1.0)
+    else:
+        r -= 5.0
+        num = (((((((2.01033439929228813265e-7 * r + 2.71155556874348757815e-5) * r
+                    + 1.24266094738807843860e-3) * r + 2.65321895265761230930e-2) * r
+                  + 2.96560571828504891230e-1) * r + 1.78482653991729133580e+0) * r
+                + 5.46378491116411436990e+0) * r + 6.65790464350110377720e+0)
+        den = (((((((2.04426310338993978564e-15 * r + 1.42151175831644588870e-7) * r
+                    + 1.84631831751005468180e-5) * r + 7.86869131145613259100e-4) * r
+                  + 1.48753612908506148525e-2) * r + 1.36929880922735805310e-1) * r
+                + 5.99832206555887937690e-1) * r + 1.0)
+    return -num / den if q < 0.0 else num / den
 
 
 def _running_sums(terms) -> tuple[float, ...]:
@@ -126,6 +171,27 @@ class _CellTables:
         return cls(tuple((f[i + 1] - f[i]) / h[i] for i in cells), _running_sums(mass), _running_sums(moment))
 
 
+class _Components(NamedTuple):
+    """Constants of a normal or mixture density, computed once: the support, the
+    Newton tolerance and bracket pad of ``quantile``, per component the tuple
+    ``(weight, mean, sd, sd*sqrt(2), sd*sqrt(2*pi))`` read by ``cdf`` and ``pdf``,
+    and per component its eight-sd envelope, which ``quad_nodes`` panels."""
+
+    support: tuple[float, float]
+    tol: float
+    pad: float
+    terms: tuple[tuple[float, float, float, float, float], ...]
+    envelopes: tuple[tuple[float, float], ...]
+
+    @classmethod
+    def build(cls, components: tuple["NormalComponent", ...]) -> "_Components":
+        envelopes = tuple((c.mean - _SUPPORT_SIGMAS * c.sd, c.mean + _SUPPORT_SIGMAS * c.sd) for c in components)
+        lo, hi = min(e[0] for e in envelopes), max(e[1] for e in envelopes)
+        terms = tuple((c.weight, c.mean, c.sd, c.sd * _SQRT2, c.sd * _SQRT_2PI) for c in components)
+        # the bracket pad, 1e-3 sd, is far wider than the error of the AS241 start
+        return cls((lo, hi), _NEWTON_X_TOL * (hi - lo), 1e-3 * max(c.sd for c in components), terms, envelopes)
+
+
 @dataclass(frozen=True)
 class NormalComponent:
     weight: float
@@ -150,6 +216,7 @@ class ContinuousDistribution:
     grid: tuple[float, ...] = ()
     density: tuple[float, ...] = ()
     _cells: _CellTables | None = field(default=None, init=False, repr=False, compare=False)
+    _comps: _Components | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("normal", "mixture", "tabulated"):
@@ -160,6 +227,7 @@ class ContinuousDistribution:
             total = math.fsum(c.weight for c in self.components)
             if abs(total - 1.0) > 1e-10:
                 raise ValueError(f"mixture weights must sum to 1, got {total}")
+            object.__setattr__(self, "_comps", _Components.build(self.components))
         else:
             z = _finite_tuple("tabulated: z", self.grid)
             f = _finite_tuple("tabulated: f", self.density)
@@ -203,9 +271,7 @@ class ContinuousDistribution:
     def support(self) -> tuple[float, float]:
         if self.kind == "tabulated":
             return self.grid[0], self.grid[-1]
-        lo = min(c.mean - _SUPPORT_SIGMAS * c.sd for c in self.components)
-        hi = max(c.mean + _SUPPORT_SIGMAS * c.sd for c in self.components)
-        return lo, hi
+        return self._comps.support
 
     def pdf(self, z):
         """Density at ``z``: float in, float out (numpy-free for normal and mixture); array in, array out."""
@@ -215,8 +281,8 @@ class ContinuousDistribution:
             out = np.interp(z, self.grid, self.density, left=0.0, right=0.0)
         else:
             out = 0.0
-            for c in self.components:
-                out += c.weight * _norm_pdf(z, c.mean, c.sd)
+            for w, mean, sd, _, sd_sqrt_2pi in self._comps.terms:
+                out += w * _norm_pdf(z, mean, sd, sd_sqrt_2pi)
         return out if scalar or z.ndim else float(out)
 
     def _cell_head(self, z: float) -> tuple[float, float]:
@@ -237,8 +303,8 @@ class ContinuousDistribution:
                 return 1.0
             return self._cell_head(z)[0]
         out = 0.0
-        for c in self.components:
-            out += c.weight * _norm_cdf(z, c.mean, c.sd)
+        for w, mean, _, sd_sqrt2, _ in self._comps.terms:
+            out += w * _norm_cdf(z, mean, sd_sqrt2)
         return out
 
     def mean(self) -> float:
@@ -250,22 +316,25 @@ class ContinuousDistribution:
         """Smallest z on the effective support with cdf(z) >= p.
 
         Tabulated: the root of one cell's quadratic cdf.  Normal and mixture:
-        Newton steps (one ``cdf`` and one float ``pdf`` call each, no numpy) inside
-        a bracket of the support, bisecting wherever Newton would leave the bracket.
+        Newton steps (one ``cdf`` and one float ``pdf`` call each, no numpy) from
+        the AS241 standard normal quantile, inside a bracket of the support,
+        bisecting wherever Newton would leave the bracket.  The cdf is
+        ``0.5 * erfc``, accurate in the lower tail, so a normal's first step
+        lands within the tolerance: one ``cdf`` call from p = 1e-12 to 1 - 1e-6.
         """
         if not 0.0 < p < 1.0:
             raise DomainError(f"quantile defined only for probabilities in (0, 1), got {p}")
         if self.kind == "tabulated":
             return self._tabulated_quantile(p)
-        s_lo, s_hi = self.support
-        tol = _NEWTON_X_TOL * (s_hi - s_lo)
-        # The quantile lies between the smallest and largest component quantile;
-        # the approximate normal quantile is widened by more than its error.
-        z_p = _approx_norm_quantile(p)
-        q = [c.mean + c.sd * z_p for c in self.components]
-        pad = 1e-3 * max(c.sd for c in self.components)
-        lo, hi = (min(max(v, s_lo), s_hi) for v in (min(q) - pad, max(q) + pad))
-        x = min(max(math.fsum(c.weight * qi for c, qi in zip(self.components, q)), lo), hi)
+        comps = self._comps
+        (s_lo, s_hi), tol, pad = comps.support, comps.tol, comps.pad
+        # The quantile lies between the smallest and largest component quantile,
+        # widened by the pad.
+        z_p = _norm_quantile(p)
+        q = [mean + sd * z_p for _, mean, sd, _, _ in comps.terms]
+        lo = min(max(min(q) - pad, s_lo), s_hi)
+        hi = min(max(max(q) + pad, s_lo), s_hi)
+        x = min(max(math.fsum([term[0] * qi for term, qi in zip(comps.terms, q)]), lo), hi)
         for _ in range(_NEWTON_MAX_ITER):
             r = self.cdf(x) - p
             if r == 0.0:
@@ -303,18 +372,38 @@ class ContinuousDistribution:
         if self.kind == "tabulated":
             inner = [z for z in self.grid if lo < z < hi]
             return np.array([lo, *inner, hi])
-        return np.linspace(lo, hi, _GL_PANELS + 1)
+        # Equal panels over each component's envelope clipped to [lo, hi], merged: a
+        # component narrower than another's panels would otherwise fall between its nodes.
+        parts = [np.linspace(max(lo, e_lo), min(hi, e_hi), _GL_PANELS + 1)
+                 for e_lo, e_hi in self._comps.envelopes if e_lo < hi and lo < e_hi]
+        if len(parts) == 1 and parts[0][0] == lo and parts[0][-1] == hi:
+            return parts[0]  # one envelope spans [lo, hi]: nothing to merge
+        edges = np.concatenate([(lo, hi), *parts])
+        edges.sort()
+        # drop repeated edges by hand: np.unique imports numpy.ma (~20 ms) on first use
+        return edges[np.append(edges[1:] != edges[:-1], True)]
 
     def quad_nodes(self, lo: float | None = None, hi: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Nodes ``x`` and weights ``w`` with the density folded in, so that
-        ``integral of f(z) g(z) over [lo, hi]`` is approximated by ``w @ g(x)``."""
+        ``integral of f(z) g(z) over [lo, hi]`` is approximated by ``w @ g(x)``.
+
+        ArithmeticError when the weights of a normal or mixture miss the mass
+        ``cdf(hi) - cdf(lo)`` by more than ``_NODE_MASS_TOL`` (a component too narrow
+        to resolve); tabulated nodes are exact on every cell.
+        """
         s_lo, s_hi = self.support
         lo = s_lo if lo is None else max(lo, s_lo)
         hi = s_hi if hi is None else min(hi, s_hi)
         if hi <= lo:
             return np.empty(0), np.empty(0)
         x, w = _panel_nodes(self._panel_edges(lo, hi))
-        return x, w * self.pdf(x)
+        w = w * self.pdf(x)
+        if self.kind != "tabulated":
+            mass, want = float(w.sum()), self.cdf(hi) - self.cdf(lo)
+            if not abs(mass - want) <= _NODE_MASS_TOL:
+                raise ArithmeticError(f"quadrature nodes on [{lo!r}, {hi!r}] hold mass {mass!r} where the "
+                                      f"cdf gives {want!r} (shortfall {want - mass:.3g})")
+        return x, w
 
     # ---- serialization --------------------------------------------------
 
@@ -372,9 +461,9 @@ def partial_expectation_closed_form(dist: ContinuousDistribution, a: float) -> f
     if dist.kind == "tabulated":
         raise ValueError("closed-form partial expectation requires a normal or mixture kind")
     acc = 0.0
-    for c in dist.components:
-        t = (a - c.mean) / c.sd
-        acc += c.weight * (c.mean * _norm_cdf(t, 0.0, 1.0) - c.sd * _norm_pdf(t, 0.0, 1.0))
+    for w, mean, sd, _, _ in dist._comps.terms:
+        t = (a - mean) / sd
+        acc += w * (mean * _norm_cdf(t, 0.0, _SQRT2) - sd * _norm_pdf(t, 0.0, 1.0, _SQRT_2PI))
     return float(acc)
 
 

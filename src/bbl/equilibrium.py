@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from ._roots import _brent_root
 from .distributions import (
@@ -43,13 +42,15 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-CSV_COLUMNS = ("p_star", "eta", "pi_rational", "pi_naive", "pi_sophisticated")
 _MAX_GRID_ROWS = 100_000  # a 100,000-row sweep takes seconds; a longer grid is an input error
 
 
-@dataclass(frozen=True)
-class EquilibriumPoint:
-    """One row of the price sweep: cutoff, implied eta and the three prices."""
+class EquilibriumPoint(NamedTuple):
+    """One row of the price sweep: cutoff, implied eta and the three prices.
+
+    A named tuple: immutable and hashable, with the fields in CSV column order;
+    it compares equal to the plain tuple of its fields.
+    """
 
     p_star: float
     eta: float
@@ -58,7 +59,10 @@ class EquilibriumPoint:
     pi_sophisticated: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
+
+
+CSV_COLUMNS = EquilibriumPoint._fields
 
 
 def naive_price(dist: ContinuousDistribution, prefs: Preferences) -> float:
@@ -91,6 +95,9 @@ def default_grid(start: float = 0.05, end: float = 0.95, step: float = 0.01) -> 
     return tuple(start + i * step for i in range(n))
 
 
+_DEFAULT_GRID = default_grid()
+
+
 def sweep(dist: ContinuousDistribution, lambda0: float,
           p_star_grid: Iterable[float] | None = None) -> list[EquilibriumPoint]:
     """Equilibrium prices across a grid of cutoffs at fixed ``lambda0``.
@@ -100,7 +107,7 @@ def sweep(dist: ContinuousDistribution, lambda0: float,
     takes the round trip ``p_star -> eta -> cutoff_probability``, so each row equals
     ``naive_price`` and ``sophisticated_price`` at ``Preferences(eta, lambda0)``.
     """
-    grid = tuple(p_star_grid) if p_star_grid is not None else default_grid()
+    grid = tuple(p_star_grid) if p_star_grid is not None else _DEFAULT_GRID
     if not grid:
         raise ValueError("p_star grid is empty")
     if any(not 0.0 < p < 1.0 for p in grid):
@@ -111,13 +118,8 @@ def sweep(dist: ContinuousDistribution, lambda0: float,
     for p_star in sorted(grid):
         eta = _eta(float(p_star), lambda0)
         expectation = subjective_expectation(dist, _cutoff(eta, lambda0))
-        points.append(EquilibriumPoint(
-            p_star=p_star,
-            eta=eta,
-            pi_rational=eta * mean,
-            pi_naive=eta * expectation,
-            pi_sophisticated=sophisticated_value_at(dist, eta, lambda0, expectation, mean),
-        ))
+        points.append(EquilibriumPoint(p_star, eta, eta * mean, eta * expectation,
+                                       sophisticated_value_at(dist, eta, lambda0, expectation, mean)))
     return points
 
 
@@ -162,5 +164,4 @@ def write_sweep_csv(points: Sequence[EquilibriumPoint], stream: TextIO) -> None:
     """
     stream.write(",".join(CSV_COLUMNS) + "\n")
     for pt in points:
-        row = (pt.p_star, pt.eta, pt.pi_rational, pt.pi_naive, pt.pi_sophisticated)
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+        stream.write(",".join(_fmt(v) for v in pt) + "\n")

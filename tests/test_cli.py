@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -136,6 +137,21 @@ class TestPortfolio:
         assert code == 0
         assert json.loads(out)["alpha"] == float(share)
 
+    def test_narrow_mixture_component(self, cli):
+        asset = '{"r_f":1,"excess":{"mixture":[{"w":0.5,"mean":0.02,"sd":0.2},{"w":0.5,"mean":0.06,"sd":0.0002}]}}'
+        code, out, _ = cli("portfolio", "--asset", asset, "--agent", "rational",
+                           "--utility", '{"kind":"power","rho":2}', "--bounds=-10:10")
+        assert code == 0
+        assert '"alpha": 0.6329113923,' in out
+
+    def test_unresolvable_component_exits_2(self, cli):
+        asset = '{"r_f":1,"excess":{"mixture":[{"w":0.5,"mean":0.02,"sd":0.2},{"w":0.5,"mean":0.06,"sd":2e-11}]}}'
+        code, out, err = cli("portfolio", "--asset", asset, "--agent", "rational",
+                             "--utility", '{"kind":"power","rho":2}', "--bounds=-10:10")
+        assert code == 2
+        assert out == ""
+        assert "shortfall" in err
+
     def test_equal_bounds_beyond_the_wealth_domain(self, cli):
         # the 8-sd support bottom 0.05 - 1.6 leaves wealth positive only for shares below 1/1.55
         asset = json.dumps({"r_f": 1.0, "excess": {"normal": {"mean": 0.05, "sd": 0.2}}})
@@ -185,6 +201,17 @@ class TestEquilibrium:
         assert code == 0
         assert out == ""
         assert path.read_text(encoding="utf-8").startswith("p_star,")
+
+
+    def test_readme_example_byte_identical(self, cli):
+        # sha256 of the README example's stdout in both formats: row values pinned to the last printed digit
+        digests = {"csv": "ee82d84a1879e8a7e8f96836a7da62729e2595a7ae07c39f14006123bb8fec8b",
+                   "json": "0a6f062401475cd54000f858556e2ba7285d9b45f1fb5b6f5b42d4d13a5a4c89"}
+        for fmt, digest in digests.items():
+            code, out, _ = cli("equilibrium", "--dist", NORMAL, "--lambda", "2.25",
+                               "--grid", "0.05:0.95:0.01", "--format", fmt)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestVerify:

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+import statistics
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from bbl import (
     sophisticated_value,
     subjective_expectation,
 )
+from bbl.distributions import _GL_PANELS, _NODE_MASS_TOL, _norm_quantile, _panel_nodes
 
 N01 = ContinuousDistribution.normal(0.0, 1.0)
 N11 = ContinuousDistribution.normal(1.0, 1.0)
@@ -64,6 +67,27 @@ class TestConstruction:
             assert hash(again) == hash(dist)
             assert repr(again) == repr(dist)
             assert "_cells" not in repr(dist)
+            assert "_comps" not in repr(dist)
+
+    @pytest.mark.parametrize("dist", [N11, SKEWED, ContinuousDistribution.tabulated((0.0, 1.0, 2.0), (0.0, 1.0, 0.0))],
+                             ids=["normal", "mixture", "tabulated"])
+    def test_private_constants_leave_the_value_alone(self, dist):
+        """The tables built in ``__post_init__`` take no part in ``==``, ``hash``,
+        ``repr`` or ``to_dict``: those read the declared fields only."""
+        declared = {f.name: getattr(dist, f.name) for f in dataclasses.fields(dist) if f.init}
+        assert set(declared) == {"kind", "components", "grid", "density"}
+        assert repr(dist) == "ContinuousDistribution(" + ", ".join(f"{k}={v!r}" for k, v in declared.items()) + ")"
+        assert hash(dist) == hash(tuple(declared.values()))
+        rebuilt = dataclasses.replace(dist)
+        assert rebuilt == dist and hash(rebuilt) == hash(dist)
+        assert ContinuousDistribution.from_dict(dist.to_dict()).to_dict() == dist.to_dict()
+        assert set(dist.to_dict()) == {dist.kind}
+
+    def test_support_is_the_widest_component_envelope(self):
+        rng = np.random.default_rng(12)
+        for dist in [N01, N11, N02, SKEWED] + [random_mixture(rng) for _ in range(60)]:
+            assert dist.support == (min(c.mean - 8.0 * c.sd for c in dist.components),
+                                    max(c.mean + 8.0 * c.sd for c in dist.components))
 
     @pytest.mark.parametrize("build,field", [
         (lambda: ContinuousDistribution.normal(0.0, math.nan), "sd"),
@@ -356,6 +380,92 @@ class TestFloatDensity:
         rng = np.random.default_rng(8)
         for dist in [SKEWED] + [random_mixture(rng) for _ in range(60)]:
             self.check(dist)
+
+
+class TestNormalQuantile:
+    """AS241 start, erfc cdf: a normal quantile is one Newton step, accurate in the lower tail."""
+
+    @staticmethod
+    def probabilities():
+        rng = np.random.default_rng(13)
+        edge = 0.5 - 0.425  # the central branch holds |p - 1/2| <= 0.425
+        tail = math.exp(-25.0)  # the middle tail branch holds sqrt(-log p) <= 5
+        edges = [edge, 1.0 - edge, tail, 1.0 - tail, 1e-300, 5e-324, 0.5, 1.0 - 2.0 ** -53]
+        edges += [math.nextafter(v, d) for v in (edge, 1.0 - edge, tail, 1.0 - tail) for d in (0.0, 1.0)]
+        return edges + rng.uniform(0.0, 1.0, 4000).tolist() + (10.0 ** -rng.uniform(0.0, 300.0, 4000)).tolist()
+
+    def test_start_is_statistics_inv_cdf(self):
+        standard = statistics.NormalDist()
+        for p in self.probabilities():
+            want = standard.inv_cdf(p)
+            assert abs(_norm_quantile(p) - want) <= math.ulp(want), p
+
+    @pytest.mark.parametrize("mean,sd", [(0.3, 1.2), (0.0, 1.0), (-2.0, 0.05), (1.5, 3.0)])
+    def test_lower_tail_against_statistics(self, mean, sd, cdf_calls):
+        dist, ref = ContinuousDistribution.normal(mean, sd), statistics.NormalDist(mean, sd)
+        for p in (1e-12, 1e-9, 1e-6, 1e-3):
+            cdf_calls[0] = 0
+            got, want = dist.quantile(p), ref.inv_cdf(p)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+            assert cdf_calls[0] == 1
+
+    def test_far_lower_tail_digits(self):
+        # 0.5 * (1 + erf) cancelled here: 30 cdf calls and -8.1413796476
+        assert f"{ContinuousDistribution.normal(0.3, 1.2).quantile(1e-12):.10f}" == "-8.1413805904"
+
+    def test_one_cdf_call_per_quantile(self, cdf_calls):
+        rng = np.random.default_rng(14)
+        probs = [1e-12, 1e-9, 1e-6, 1e-3] + SWEEP_PROBS + [1.0 - 1e-3, 1.0 - 1e-6]
+        for _ in range(100):
+            dist = ContinuousDistribution.normal(rng.uniform(-3.0, 3.0), rng.uniform(0.01, 5.0))
+            for p in probs:
+                cdf_calls[0] = 0
+                dist.quantile(p)
+                assert cdf_calls[0] == 1, (dist, p)
+
+
+class TestNodeMass:
+    """Quadrature nodes carry the mass of every mixture component, however narrow."""
+
+    @staticmethod
+    def mass(dist, lo, hi):
+        """Mass of [lo, hi] from scipy's ndtr, independent of ``cdf``."""
+        return math.fsum(c.weight * (special.ndtr((hi - c.mean) / c.sd) - special.ndtr((lo - c.mean) / c.sd))
+                         for c in dist.components)
+
+    def test_mixture_corpus_with_sd_ratios_to_1e5(self):
+        rng = np.random.default_rng(15)
+        worst = 0.0
+        for _ in range(150):
+            k = int(rng.integers(2, 4))
+            w = [float(v) for v in rng.dirichlet(np.ones(k))]
+            w[-1] = 1.0 - math.fsum(w[:-1])
+            wide = float(rng.uniform(0.01, 3.0))
+            sds = [wide] + [wide / 10.0 ** float(rng.uniform(0.0, 5.0)) for _ in range(k - 1)]
+            dist = ContinuousDistribution.mixture([(w[i], float(rng.uniform(-5.0, 5.0)), sds[i]) for i in range(k)])
+            lo, hi = dist.support
+            cuts = [(lo, hi)] + [tuple(sorted(rng.uniform(lo, hi, 2).tolist())) for _ in range(3)]
+            cuts += [(lo, c.mean) for c in dist.components]
+            for a, b in cuts:
+                x, weights = dist.quad_nodes(a, b)
+                worst = max(worst, abs(math.fsum(weights) - self.mass(dist, a, b)))
+        assert worst <= _NODE_MASS_TOL
+
+    def test_single_normal_keeps_equal_panels_over_the_interval(self):
+        rng = np.random.default_rng(16)
+        for dist in (N01, N11, N02):
+            lo, hi = dist.support
+            for a, b in [(lo, hi)] + [tuple(sorted(rng.uniform(lo, hi, 2).tolist())) for _ in range(5)]:
+                x, w = dist.quad_nodes(a, b)
+                want_x, want_w = _panel_nodes(np.linspace(a, b, _GL_PANELS + 1))
+                assert np.array_equal(x, want_x)
+                assert np.array_equal(w, want_w * dist.pdf(want_x))
+
+    def test_unresolvable_component_raises(self):
+        # at mean 0.06, float nodes sit up to 3e-7 sd from their panel positions: the mass misses by ~4e-9
+        dist = ContinuousDistribution.mixture([(0.5, 0.02, 0.2), (0.5, 0.06, 2e-11)])
+        with pytest.raises(ArithmeticError, match="shortfall"):
+            dist.quad_nodes()
 
 
 class TestValues:

@@ -7,6 +7,7 @@ from scipy import special
 
 from bbl import (
     ContinuousDistribution,
+    EquilibriumPoint,
     DomainError,
     Preferences,
     default_grid,
@@ -20,6 +21,7 @@ from bbl import (
     sweep_thresholds,
     write_sweep_csv,
 )
+from bbl.equilibrium import CSV_COLUMNS
 
 N11 = ContinuousDistribution.normal(1.0, 1.0)
 LAM = 2.25
@@ -250,6 +252,23 @@ class TestSweep:
         assert len(grid) == 90_001
         assert grid[0] == 0.05 and grid[-1] == pytest.approx(0.95, abs=1e-12)
         assert default_grid(0.3, 0.3, 0.1) == (0.3,)
+
+
+class TestPoint:
+    def test_immutable_hashable_tuple(self, figure_sweep):
+        pt = figure_sweep[0]
+        with pytest.raises(AttributeError):
+            pt.eta = 0.5
+        assert hash(pt) == hash(tuple(pt))
+        assert pt == tuple(pt)
+        assert len({pt, EquilibriumPoint(*pt)}) == 1
+
+    def test_to_dict_in_csv_column_order(self, figure_sweep):
+        for pt in figure_sweep[::15]:
+            row = pt.to_dict()
+            assert tuple(row) == CSV_COLUMNS
+            assert list(row.values()) == list(pt)
+            assert all(type(v) is float for v in row.values())
 
 
 class TestCsv:
