@@ -21,9 +21,12 @@ tail) and partial moment, with the quantile found by safeguarded Newton steps
 that evaluate cdf and density with ``math``, started from Wichura's AS241
 normal quantile: one step for a normal.  Each normal or mixture computes its
 support, Newton constants and per-component constants once, at construction.
-Gauss-Legendre panel quadrature (``quad_nodes``, the array density's caller;
-equal panels over each component's envelope, its node mass checked against the
-cdf) serves only the portfolio solvers and the cross-check against the closed forms.
+Gauss-Legendre panel quadrature (``quad_nodes``, the array density's caller)
+serves only the portfolio solvers and the cross-check against the closed forms:
+one read-only panel set over the whole support, built on first use (a tabulated
+density's cells, or equal panels over each component's envelope, merged), which
+a sub-interval slices, with fresh nodes only on the at most two panels its ends
+clip; every node set's mass is checked against the cdf.
 """
 
 from __future__ import annotations
@@ -77,11 +80,11 @@ def _leggauss() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
-def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights for the panels delimited by ``edges``."""
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights, panel after panel, for the panels ``[lo[i], hi[i]]``."""
     base_x, base_w = _leggauss()
-    lo = edges[:-1][:, None]
-    hi = edges[1:][:, None]
+    lo = lo[:, None]
+    hi = hi[:, None]
     half = 0.5 * (hi - lo)
     x = (lo + half) + half * base_x[None, :]
     w = half * base_w[None, :]
@@ -175,7 +178,8 @@ class _Components(NamedTuple):
     """Constants of a normal or mixture density, computed once: the support, the
     Newton tolerance and bracket pad of ``quantile``, per component the tuple
     ``(weight, mean, sd, sd*sqrt(2), sd*sqrt(2*pi))`` read by ``cdf`` and ``pdf``,
-    and per component its eight-sd envelope, which ``quad_nodes`` panels."""
+    and per component its eight-sd envelope, which the panel set of ``quad_nodes``
+    covers with equal panels."""
 
     support: tuple[float, float]
     tol: float
@@ -190,6 +194,15 @@ class _Components(NamedTuple):
         terms = tuple((c.weight, c.mean, c.sd, c.sd * _SQRT2, c.sd * _SQRT_2PI) for c in components)
         # the bracket pad, 1e-3 sd, is far wider than the error of the AS241 start
         return cls((lo, hi), _NEWTON_X_TOL * (hi - lo), 1e-3 * max(c.sd for c in components), terms, envelopes)
+
+
+class _PanelSet(NamedTuple):
+    """Read-only Gauss-Legendre panels over the whole support: the edges, and
+    ``_GL_ORDER`` nodes per panel, in order, with weights that fold in the density."""
+
+    edges: np.ndarray
+    x: np.ndarray
+    w: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -217,6 +230,7 @@ class ContinuousDistribution:
     density: tuple[float, ...] = ()
     _cells: _CellTables | None = field(default=None, init=False, repr=False, compare=False)
     _comps: _Components | None = field(default=None, init=False, repr=False, compare=False)
+    _panels: _PanelSet | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("normal", "mixture", "tabulated"):
@@ -301,7 +315,9 @@ class ContinuousDistribution:
                 return 0.0
             if z >= self.grid[-1]:
                 return 1.0
-            return self._cell_head(z)[0]
+            # the trapezoid mass may exceed 1 by up to _TABULATED_MASS_TOL: clamp so the
+            # cdf never passes its value 1 at the right end
+            return min(self._cell_head(z)[0], 1.0)
         out = 0.0
         for w, mean, _, sd_sqrt2, _ in self._comps.terms:
             out += w * _norm_cdf(z, mean, sd_sqrt2)
@@ -368,36 +384,52 @@ class ContinuousDistribution:
 
     # ---- quadrature ----------------------------------------------------
 
-    def _panel_edges(self, lo: float, hi: float) -> np.ndarray:
-        if self.kind == "tabulated":
-            inner = [z for z in self.grid if lo < z < hi]
-            return np.array([lo, *inner, hi])
-        # Equal panels over each component's envelope clipped to [lo, hi], merged: a
-        # component narrower than another's panels would otherwise fall between its nodes.
-        parts = [np.linspace(max(lo, e_lo), min(hi, e_hi), _GL_PANELS + 1)
-                 for e_lo, e_hi in self._comps.envelopes if e_lo < hi and lo < e_hi]
-        if len(parts) == 1 and parts[0][0] == lo and parts[0][-1] == hi:
-            return parts[0]  # one envelope spans [lo, hi]: nothing to merge
-        edges = np.concatenate([(lo, hi), *parts])
-        edges.sort()
-        # drop repeated edges by hand: np.unique imports numpy.ma (~20 ms) on first use
-        return edges[np.append(edges[1:] != edges[:-1], True)]
+    def _panel_set(self) -> _PanelSet:
+        """The whole support's panels, built on first use: a tabulated density's cells, or
+        equal panels over each component's envelope, merged (a narrow component would
+        otherwise fall between another's nodes)."""
+        if self._panels is None:
+            if self.kind == "tabulated":
+                edges = np.array(self.grid)
+            else:
+                parts = [np.linspace(e_lo, e_hi, _GL_PANELS + 1) for e_lo, e_hi in self._comps.envelopes]
+                edges = np.concatenate(parts)
+                edges.sort()
+                # drop repeated edges by hand: np.unique imports numpy.ma (~20 ms) on first use
+                edges = edges[np.append(edges[1:] != edges[:-1], True)]
+            x, w = _panel_nodes(edges[:-1], edges[1:])
+            w *= self.pdf(x)
+            for a in (edges, x, w):
+                a.flags.writeable = False
+            object.__setattr__(self, "_panels", _PanelSet(edges, x, w))
+        return self._panels
 
     def quad_nodes(self, lo: float | None = None, hi: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Nodes ``x`` and weights ``w`` with the density folded in, so that
         ``integral of f(z) g(z) over [lo, hi]`` is approximated by ``w @ g(x)``.
 
-        ArithmeticError when the weights of a normal or mixture miss the mass
-        ``cdf(hi) - cdf(lo)`` by more than ``_NODE_MASS_TOL`` (a component too narrow
-        to resolve); tabulated nodes are exact on every cell.
+        The whole support's panels that lie inside ``[lo, hi]`` are slices of one
+        read-only set (``_panel_set``); only the at most two panels that ``lo`` and
+        ``hi`` clip get fresh nodes.  ArithmeticError when the weights of a normal or
+        mixture miss the mass ``cdf(hi) - cdf(lo)`` by more than ``_NODE_MASS_TOL`` (a
+        component too narrow to resolve); tabulated nodes are exact on every cell.
         """
         s_lo, s_hi = self.support
         lo = s_lo if lo is None else max(lo, s_lo)
         hi = s_hi if hi is None else min(hi, s_hi)
         if hi <= lo:
             return np.empty(0), np.empty(0)
-        x, w = _panel_nodes(self._panel_edges(lo, hi))
-        w = w * self.pdf(x)
+        edges, x, w = self._panel_set()
+        i = int(np.searchsorted(edges, lo))  # first edge at or above lo
+        j = int(np.searchsorted(edges, hi, "right")) - 1  # last edge at or below hi; j < i inside one panel
+        x, w = x[_GL_ORDER * i:_GL_ORDER * j], w[_GL_ORDER * i:_GL_ORDER * j]
+        head = [(lo, min(edges[i], hi))] if lo < edges[i] else []
+        tail = [(edges[j], hi)] if i <= j and edges[j] < hi else []
+        if head or tail:
+            ex, ew = _panel_nodes(*np.array(head + tail).T)
+            ew *= self.pdf(ex)
+            k = _GL_ORDER * len(head)
+            x, w = np.concatenate((ex[:k], x, ex[k:])), np.concatenate((ew[:k], w, ew[k:]))
         if self.kind != "tabulated":
             mass, want = float(w.sum()), self.cdf(hi) - self.cdf(lo)
             if not abs(mass - want) <= _NODE_MASS_TOL:

@@ -58,28 +58,28 @@ def simpson_integral(fn, lo: float, hi: float, n: int = 2001) -> float:
     return float(_simpson_rows(fn, np.array([lo], dtype=float), np.array([hi], dtype=float), n)[0])
 
 
-def _oracle_gain_loss(x: np.ndarray, prefs: Preferences) -> np.ndarray:
-    """Gain-loss utility recomputed without the closed-form loss branch."""
+def _oracle_gain_loss(x: np.ndarray, prefs: Preferences, out: np.ndarray | None = None) -> np.ndarray:
+    """Gain-loss utility recomputed without the closed-form loss branch, written to
+    ``out`` when given (``out`` may be ``x``)."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
+    out = np.empty_like(x) if out is None else out
+    if prefs.gain_loss.kind != GENERAL:
+        np.copyto(out, x)
+        return np.multiply(out, prefs.lambda0, out=out, where=out < 0)
+    beta, kappa, lam = prefs.gain_loss.beta, prefs.gain_loss.kappa, prefs.lambda0
+
+    def slope(s):  # exp(-kappa * s) overwrites the nodes: one buffer less
+        e = np.exp(np.multiply(s, -kappa, out=s), out=s)
+        return beta * (1.0 + (lam - 1.0) * (1.0 - e))
+
     pos = x >= 0
-    if prefs.gain_loss.kind == GENERAL:
-        beta, kappa, lam = prefs.gain_loss.beta, prefs.gain_loss.kappa, prefs.lambda0
-
-        def slope(s):  # exp(-kappa * s) overwrites the nodes: one buffer less
-            e = np.exp(np.multiply(s, -kappa, out=s), out=s)
-            return beta * (1.0 + (lam - 1.0) * (1.0 - e))
-
-        out[pos] = beta * x[pos]
-        t = -x[~pos]
-        # split at the end of the exp(-kappa s) boundary layer so the
-        # Simpson rule stays accurate for very large kappa
-        split = np.minimum(t, 30.0 / kappa)
-        out[~pos] = -(_simpson_rows(slope, np.zeros_like(t), split, _SIMPSON_MU_NODES)
-                      + _simpson_rows(slope, split, t, _SIMPSON_MU_NODES))
-    else:
-        out[pos] = x[pos]
-        out[~pos] = prefs.lambda0 * x[~pos]
+    t = -x[~pos]
+    out[pos] = beta * x[pos]
+    # split at the end of the exp(-kappa s) boundary layer so the
+    # Simpson rule stays accurate for very large kappa
+    split = np.minimum(t, 30.0 / kappa)
+    out[~pos] = -(_simpson_rows(slope, np.zeros_like(t), split, _SIMPSON_MU_NODES)
+                  + _simpson_rows(slope, split, t, _SIMPSON_MU_NODES))
     return out
 
 
@@ -128,8 +128,10 @@ def grid_search_beliefs(lottery: DiscreteLottery, prefs: Preferences,
     grid = _simplex_grid(lottery.size, int(round(1.0 / step)))
     expectations = grid @ u
     totals = expectations.copy()
+    term = np.empty_like(expectations)  # each state's term, computed in place
     for s in range(lottery.size):
-        totals += prefs.eta * p[s] * _oracle_gain_loss(u[s] - expectations, prefs)
+        _oracle_gain_loss(np.subtract(u[s], expectations, out=term), prefs, out=term)
+        totals += np.multiply(term, prefs.eta * p[s], out=term)
     best = int(np.argmax(totals))
     return tuple(grid[best]), float(totals[best])
 

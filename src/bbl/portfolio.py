@@ -25,7 +25,6 @@ domain.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 from dataclasses import asdict, dataclass
@@ -224,17 +223,20 @@ def _belief_tilt(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):
     The target subjective expectation is the utility payoff at the cutoff
     quantile; the factors solve the mass and mean constraints on the two
     regions.  Returns (region, wealth, utility at the region's nodes, c_gain,
-    c_loss, target).
+    c_loss, target), built once per share on ``grid``.
     """
-    r_f, reg = grid.asset.r_f, grid.region(alpha)
-    target = utility.value(r_f + alpha * grid.cut(alpha))
-    wealth = r_f + alpha * reg.x
-    if utility.needs_positive_wealth and wealth.min() <= 0:
-        raise DomainError(f"wealth leaves the {utility.kind} utility domain at share {alpha}")
-    u, w, k = utility.value_array(wealth), reg.w, reg.k
-    factors = _tilt_factors(reg.p_gain, reg.p_loss, float(w[:k] @ u[:k]), float(w[k:] @ u[k:]), target)
-    c_g, c_l = (1.0, 1.0) if factors is None else factors
-    return reg, wealth, u, c_g, c_l, target
+    def build():
+        r_f, reg = grid.asset.r_f, grid.region(alpha)
+        target = utility.value(r_f + alpha * grid.cut(alpha))
+        wealth = r_f + alpha * reg.x
+        if utility.needs_positive_wealth and wealth.min() <= 0:
+            raise DomainError(f"wealth leaves the {utility.kind} utility domain at share {alpha}")
+        u, w, k = utility.value_array(wealth), reg.w, reg.k
+        factors = _tilt_factors(reg.p_gain, reg.p_loss, float(w[:k] @ u[:k]), float(w[k:] @ u[k:]), target)
+        c_g, c_l = (1.0, 1.0) if factors is None else factors
+        return reg, wealth, u, c_g, c_l, target
+
+    return grid._once(("tilt", utility, alpha), build)
 
 
 def _frozen_slope(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float) -> float:
@@ -263,6 +265,12 @@ def _naive_beliefs(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):
     return reg.x, np.concatenate((c_g * reg.w[:reg.k], c_l * reg.w[reg.k:]))
 
 
+def _slope(x: np.ndarray, w: np.ndarray, r_f: float, utility: ConsumptionUtility):
+    """The slope ``a -> sum w x u'(r_f + a x)`` of ``sum w u(r_f + a x)``."""
+    wx = w * x
+    return lambda a: float(wx @ utility.marginal_array(r_f + a * x))
+
+
 def _best_share(x: np.ndarray, w: np.ndarray, r_f: float, utility: ConsumptionUtility,
                 lo: float, hi: float) -> tuple[float, int]:
     """Share in [lo, hi] maximizing ``sum w u(r_f + a x)`` for positive weights ``w``.
@@ -272,12 +280,12 @@ def _best_share(x: np.ndarray, w: np.ndarray, r_f: float, utility: ConsumptionUt
     when it has one sign on the whole interval.  Returns (share, slope
     evaluations).
     """
-    wx, calls = w * x, 0
+    calls, slope_at = 0, _slope(x, w, r_f, utility)
 
     def slope(a: float) -> float:
         nonlocal calls
         calls += 1
-        return float(wx @ utility.marginal_array(r_f + a * x))
+        return slope_at(a)
 
     s_lo, s_hi = slope(lo), slope(hi)
     if s_lo <= 0:
@@ -285,6 +293,20 @@ def _best_share(x: np.ndarray, w: np.ndarray, r_f: float, utility: ConsumptionUt
     if s_hi >= 0:
         return hi, calls
     return _brent_root(slope, lo, s_lo, hi, s_hi)[0], calls
+
+
+def _best_share_near(x: np.ndarray, w: np.ndarray, r_f: float, utility: ConsumptionUtility,
+                     lo: float, hi: float, share: float, tol: float) -> bool:
+    """Whether ``_best_share(x, w, r_f, utility, lo, hi)`` lies within ``tol`` of ``share``,
+    by its rule but from at most four slope signs: the slope falls in the share, so an
+    interior best share is that near where the slope changes sign from ``share - tol``
+    to ``share + tol`` (each clipped to the bounds)."""
+    slope = _slope(x, w, r_f, utility)
+    if slope(lo) <= 0:
+        return abs(lo - share) <= tol
+    if slope(hi) >= 0:
+        return abs(hi - share) <= tol
+    return slope(max(share - tol, lo)) >= 0 >= slope(min(share + tol, hi))
 
 
 def _total_utility_at(grid: _AssetGrid, prefs: Preferences,
@@ -330,19 +352,21 @@ def naive_alpha(asset: Asset, prefs: Preferences,
     ``h(hi) >= 0``, and possibly 0.  ``h`` is continuous on each sign region of
     the share but may jump at 0, where the loss region switches sides, so each
     region is sampled on a few evenly spaced shares (an end at 0 moved just
-    inside the region) and every sign change is closed by Brent's method.  Each
-    candidate is confirmed by one inner maximization: it counts only where
-    ``|gap|``, best response minus share, is within ``_FIXED_POINT_TOL`` (a sign
-    change that survives the collapse of its bracket is a jump).  Among the
-    fixed points the one with the highest anticipatory-plus-gain-loss utility is
-    returned (lowest share on ties).  Without one, the sampled share with the
-    smallest ``|gap|`` is returned with ``converged=False``.
+    inside the region) and every sign change is closed by Brent's method.  A
+    candidate ``c`` counts only where ``|gap|``, best response minus share, is
+    within ``_FIXED_POINT_TOL`` (a sign change that survives the collapse of its
+    bracket is a jump); the frozen objective is concave, so that is read from
+    the slope signs at the bounds and at ``c - tol`` and ``c + tol``, with no inner
+    root-find.  Among the fixed points the one with the highest
+    anticipatory-plus-gain-loss utility is returned (lowest share on ties).
+    Without one, the sampled share with the smallest ``|gap|`` (one inner
+    maximization per sample) is returned with ``converged=False``.  The belief
+    tilt at each share is computed once per solve.
     """
     lo, hi = _feasible_bounds(asset, utility, bounds)
     grid = _AssetGrid(asset, prefs)
     evaluated: list[float] = []  # shares at which h was evaluated
 
-    @functools.cache
     def gap(alpha: float) -> float:
         x, w = _naive_beliefs(grid, utility, alpha)
         return _best_share(x, w, asset.r_f, utility, lo, hi)[0] - alpha
@@ -364,7 +388,9 @@ def naive_alpha(asset: Asset, prefs: Preferences,
         candidates += [_brent_root(h, shares[i], hs[i], shares[i + 1], hs[i + 1])[0]
                        for i in range(len(shares) - 1) if hs[i] * hs[i + 1] < 0]
 
-    fixed = sorted({alpha for alpha in candidates if abs(gap(alpha)) <= _FIXED_POINT_TOL})
+    fixed = sorted(alpha for alpha in set(candidates)
+                   if _best_share_near(*_naive_beliefs(grid, utility, alpha), asset.r_f, utility, lo, hi,
+                                       alpha, _FIXED_POINT_TOL))
     best_alpha, best_total = None, -math.inf
     for alpha in fixed:
         total = _total_utility_at(grid, prefs, utility, alpha)

@@ -127,6 +127,16 @@ class TestPortfolio:
         assert code == 2
         assert json.loads(out)["converged"] is False
 
+    def test_flat_naive_objective_exits_2(self, cli):
+        # linear utility on a zero-mean asset: the frozen objective is flat at 0 and no
+        # candidate passes the fixed-point test; the output is pinned byte for byte
+        code, out, _ = cli("portfolio", "--asset", '{"r_f":1,"excess":{"normal":{"mean":0,"sd":0.2}}}',
+                           "--agent", "naive", "--prefs", '{"eta":0.7,"lambda":2.25}',
+                           "--utility", '{"kind":"linear"}', "--bounds=-1:1")
+        assert code == 2
+        assert out == ('{\n  "alpha": 0.0,\n  "belief_expectation": 1.0,\n  "r_ce": null,\n  "value": 1.0,\n'
+                       '  "converged": false,\n  "iterations": 14\n}\n')
+
     @pytest.mark.parametrize("agent", ["rational", "naive", "sophisticated"])
     @pytest.mark.parametrize("utility", ['{"kind":"power","rho":2}', '{"kind":"log"}', '{"kind":"linear"}'])
     @pytest.mark.parametrize("share", ["0.3", "0"])

@@ -169,6 +169,14 @@ class TestTabulated:
         assert self.TRIANGLE.quantile(0.5) == pytest.approx(1.0, abs=1e-9)
         assert self.TRIANGLE.cdf(0.5) == pytest.approx(0.125, abs=1e-12)
 
+    def test_cdf_never_passes_one_below_the_right_end(self):
+        # trapezoid mass 1 + 5e-9 is accepted (within 1e-8): the prefix mass passes 1 just left of z = 2
+        dist = ContinuousDistribution.tabulated((0.0, 1.0, 2.0), (0.0, 1.0 + 5e-9, 0.0))
+        assert dist.cdf(math.nextafter(2.0, 0.0)) <= dist.cdf(2.0) == 1.0
+        zs = [*np.linspace(1.99, 2.0, 2001).tolist(), math.nextafter(2.0, 0.0), 2.0, 3.0]
+        cdf = [dist.cdf(z) for z in sorted(zs)]
+        assert all(a <= b <= 1.0 for a, b in zip(cdf, cdf[1:]))
+
     def test_mean_and_partial(self):
         assert self.TRIANGLE.mean() == pytest.approx(1.0, abs=1e-12)
         # integral of z*z below 1 for the rising edge
@@ -451,21 +459,120 @@ class TestNodeMass:
                 worst = max(worst, abs(math.fsum(weights) - self.mass(dist, a, b)))
         assert worst <= _NODE_MASS_TOL
 
-    def test_single_normal_keeps_equal_panels_over_the_interval(self):
-        rng = np.random.default_rng(16)
-        for dist in (N01, N11, N02):
-            lo, hi = dist.support
-            for a, b in [(lo, hi)] + [tuple(sorted(rng.uniform(lo, hi, 2).tolist())) for _ in range(5)]:
-                x, w = dist.quad_nodes(a, b)
-                want_x, want_w = _panel_nodes(np.linspace(a, b, _GL_PANELS + 1))
-                assert np.array_equal(x, want_x)
-                assert np.array_equal(w, want_w * dist.pdf(want_x))
-
     def test_unresolvable_component_raises(self):
         # at mean 0.06, float nodes sit up to 3e-7 sd from their panel positions: the mass misses by ~4e-9
         dist = ContinuousDistribution.mixture([(0.5, 0.02, 0.2), (0.5, 0.06, 2e-11)])
         with pytest.raises(ArithmeticError, match="shortfall"):
             dist.quad_nodes()
+
+
+PANEL_DISTS = (N01, N02, ContinuousDistribution.normal(0.05, 0.2), SKEWED,
+               ContinuousDistribution.mixture([(0.5, 0.02, 0.2), (0.5, 0.06, 0.0002)]),
+               ContinuousDistribution.tabulated((-0.9, -0.5, 0.0, 0.1, 0.5, 0.9),
+                                                (0.4, 0.0, 0.0, 0.92 / 0.65, 0.92 / 0.65, 0.0)))
+PANEL_IDS = ["N01", "N02", "readme", "skewed", "narrow-mixture", "tabulated"]
+
+
+class TestPanelSet:
+    """One Gauss-Legendre panel set per distribution: ``quad_nodes`` returns the whole
+    set's panels inside the query as they are, with fresh nodes on the at most two
+    panels that the query's ends clip."""
+
+    @staticmethod
+    def whole_edges(dist):
+        """Cells of a tabulated density; else equal panels over each component's eight-sd envelope, merged."""
+        if dist.kind == "tabulated":
+            return np.array(dist.grid)
+        return np.unique(np.concatenate([np.linspace(c.mean - 8.0 * c.sd, c.mean + 8.0 * c.sd, _GL_PANELS + 1)
+                                         for c in dist.components]))
+
+    @staticmethod
+    def panel(dist, a, b):
+        x, w = _panel_nodes(np.array([a]), np.array([b]))
+        return x, w * dist.pdf(x)
+
+    @staticmethod
+    def queries(dist, edges, rng):
+        lo, hi = dist.support
+        inner = edges[(edges > lo) & (edges < hi)]
+        k = int(rng.integers(1, inner.size - 1))
+        mid = 0.5 * (edges[k] + edges[k + 1])
+        cut = dist.quantile(0.3)
+        return ([(lo, hi), (lo, cut), (cut, hi), (edges[k], edges[k + 2]), (mid, edges[k + 1]),
+                 (edges[k], mid), (mid, 0.5 * (mid + edges[k + 1])), (mid, min(edges[k + 3] + 1e-3 * (hi - lo), hi))]
+                + [tuple(sorted(rng.uniform(lo, hi, 2).tolist())) for _ in range(6)])
+
+    @pytest.mark.parametrize("dist", PANEL_DISTS, ids=PANEL_IDS)
+    def test_sub_intervals_are_whole_panels_plus_clipped_ends(self, dist):
+        edges = self.whole_edges(dist)
+        x_all, w_all = _panel_nodes(edges[:-1], edges[1:])
+        w_all = w_all * dist.pdf(x_all)
+        x, w = dist.quad_nodes()
+        assert np.array_equal(x, x_all) and np.array_equal(w, w_all)
+        n = x_all.size // (edges.size - 1)
+        for a, b in self.queries(dist, edges, np.random.default_rng(17)):
+            # the query's panels: whole panels between the first and last edge inside [a, b], clipped ones outside
+            inside = np.flatnonzero((edges >= a) & (edges <= b))
+            pieces = []
+            if inside.size == 0:
+                pieces.append(self.panel(dist, a, b))
+            else:
+                i, j = inside[0], inside[-1]
+                if a < edges[i]:
+                    pieces.append(self.panel(dist, a, edges[i]))
+                pieces.append((x_all[n * i:n * j], w_all[n * i:n * j]))
+                if edges[j] < b:
+                    pieces.append(self.panel(dist, edges[j], b))
+            x, w = dist.quad_nodes(a, b)
+            assert np.array_equal(x, np.concatenate([p[0] for p in pieces]))
+            assert np.array_equal(w, np.concatenate([p[1] for p in pieces]))
+            assert x.size <= x_all.size + 2 * n
+
+    @pytest.mark.parametrize("dist", PANEL_DISTS, ids=PANEL_IDS)
+    def test_split_interval_integrates_like_the_whole(self, dist):
+        rng = np.random.default_rng(18)
+        edges = self.whole_edges(dist)
+        for a, b in self.queries(dist, edges, rng):
+            x, w = dist.quad_nodes(a, b)
+            # three points anywhere in (a, b), and the first whole-set edge inside it
+            for c in rng.uniform(a, b, 3).tolist() + edges[(edges > a) & (edges < b)][:1].tolist():
+                (x1, w1), (x2, w2) = dist.quad_nodes(a, c), dist.quad_nodes(c, b)
+                for g in (np.ones_like, lambda z: z, lambda z: z * z):
+                    assert abs(w1 @ g(x1) + w2 @ g(x2) - w @ g(x)) <= 1e-14
+
+    @pytest.mark.parametrize("dist", PANEL_DISTS, ids=PANEL_IDS)
+    def test_whole_set_is_read_only(self, dist):
+        x, w = dist.quad_nodes()
+        for a in (x, w, dist._panel_set().edges):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("dist", PANEL_DISTS, ids=PANEL_IDS)
+    def test_panel_set_leaves_the_value_alone(self, dist):
+        fresh = ContinuousDistribution.from_dict(dist.to_dict())
+        dist.quad_nodes()
+        assert fresh._panels is None and dist._panels is not None
+        assert dist == fresh and hash(dist) == hash(fresh) and repr(dist) == repr(fresh)
+
+    def test_whole_set_is_built_once(self, monkeypatch):
+        import bbl.distributions as distributions
+
+        panels = []
+        real = distributions._panel_nodes
+        monkeypatch.setattr(distributions, "_panel_nodes", lambda lo, hi: panels.append(lo.size) or real(lo, hi))
+        for spec in ({"normal": {"mean": 0.05, "sd": 0.2}},
+                     {"mixture": [{"w": 0.5, "mean": 0.02, "sd": 0.2}, {"w": 0.5, "mean": 0.06, "sd": 0.0002}]},
+                     {"tabulated": {"z": [0.0, 1.0, 2.0], "f": [0.0, 1.0, 0.0]}}):
+            dist = ContinuousDistribution.from_dict(spec)
+            panels.clear()
+            whole = dist.quad_nodes()
+            assert len(panels) == 1
+            assert np.array_equal(dist.quad_nodes()[0], whole[0]) and len(panels) == 1
+            lo, hi = dist.support
+            for a, b in ((lo, dist.quantile(0.4)), (dist.quantile(0.2), dist.quantile(0.7))):
+                panels.clear()
+                dist.quad_nodes(a, b)
+                assert sum(panels) <= 2 and len(panels) <= 1
 
 
 class TestValues:

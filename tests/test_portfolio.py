@@ -22,9 +22,11 @@ from bbl import (
 )
 from bbl import portfolio
 from bbl.portfolio import (
+    _FIXED_POINT_TOL,
     DEFAULT_BOUNDS,
     _AssetGrid,
     _best_share,
+    _best_share_near,
     _feasible_bounds,
     _frozen_slope,
     _naive_beliefs,
@@ -43,26 +45,29 @@ def prefs_for(p_star, lam=2.25):
     return Preferences(eta=eta_for_cutoff(p_star, lam), lambda0=lam)
 
 
+def random_excess(rng, kind):
+    """A seeded normal, two-component mixture or 13-point tabulated excess return."""
+    if kind == "normal":
+        return ContinuousDistribution.normal(rng.uniform(-0.03, 0.1), rng.uniform(0.1, 0.3))
+    if kind == "mixture":
+        w = rng.uniform(0.05, 0.3)
+        return ContinuousDistribution.mixture([(1.0 - w, rng.uniform(0.0, 0.12), rng.uniform(0.08, 0.2)),
+                                               (w, rng.uniform(-0.4, -0.05), rng.uniform(0.05, 0.2))])
+    z = np.linspace(-0.9, 0.9, 13)
+    f = rng.uniform(0.0, 1.0, z.size) * np.exp(-((z - 0.1) / 0.5) ** 2)
+    f /= np.sum((f[1:] + f[:-1]) * np.diff(z)) / 2.0
+    return ContinuousDistribution.tabulated(tuple(z), tuple(f))
+
+
 def naive_corpus(seed=20261018, per_cell=6):
     """Seeded (asset, prefs, utility) triples: normal, two-component mixture and
     tabulated excess returns, each with linear, log and power utility."""
     rng = np.random.default_rng(seed)
-    z = np.linspace(-0.9, 0.9, 13)
     cases = []
     for kind in ("normal", "mixture", "tabulated"):
         for utility_kind in ("linear", "log", "power"):
             for _ in range(per_cell):
-                if kind == "normal":
-                    excess = ContinuousDistribution.normal(rng.uniform(-0.03, 0.1), rng.uniform(0.1, 0.3))
-                elif kind == "mixture":
-                    w = rng.uniform(0.05, 0.3)
-                    excess = ContinuousDistribution.mixture(
-                        [(1.0 - w, rng.uniform(0.0, 0.12), rng.uniform(0.08, 0.2)),
-                         (w, rng.uniform(-0.4, -0.05), rng.uniform(0.05, 0.2))])
-                else:
-                    f = rng.uniform(0.0, 1.0, z.size) * np.exp(-((z - 0.1) / 0.5) ** 2)
-                    f /= np.sum((f[1:] + f[:-1]) * np.diff(z)) / 2.0
-                    excess = ContinuousDistribution.tabulated(tuple(z), tuple(f))
+                excess = random_excess(rng, kind)
                 utility = (ConsumptionUtility("power", float(rng.choice([0.5, 2.0, 3.0])))
                            if utility_kind == "power" else ConsumptionUtility(utility_kind))
                 prefs = prefs_for(rng.uniform(0.1, 0.9), rng.uniform(1.5, 3.0))
@@ -231,6 +236,116 @@ class TestNaiveCorpus:
     def test_cli_import_leaves_scipy_out(self):
         code = "import sys, bbl.cli; sys.exit('scipy' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def eta_corpus(seed=20261019, per_cell=3):
+    """Seeded (asset, prefs, utility) triples at eta in [0.5, 0.9]: normal, two-component
+    mixture and tabulated excess returns, each with linear, log and power rho = 2 utility."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for kind in ("normal", "mixture", "tabulated"):
+        for utility in (LINEAR, LOG, ConsumptionUtility("power", 2.0)):
+            for _ in range(per_cell):
+                asset = Asset(1.0, random_excess(rng, kind))
+                for eta in rng.uniform(0.5, 0.9, 3):
+                    lam = float(rng.uniform(1.0 / eta + 0.05, 3.5))
+                    cases.append((asset, Preferences(eta=float(eta), lambda0=lam), utility))
+    return cases
+
+
+class TestNaiveConfirmation:
+    """A naive candidate counts as a fixed point by ``_best_share``'s own rule, read from
+    slope signs: the inner best response under the beliefs frozen at it lies within
+    ``_FIXED_POINT_TOL``."""
+
+    BOUNDS = (-10.0, 10.0)
+
+    def test_converged_shares_are_inner_best_responses(self):
+        kinds = set()
+        for asset, prefs, utility in eta_corpus():
+            sol = naive_alpha(asset, prefs, utility, self.BOUNDS)
+            if not sol.converged:
+                continue
+            kinds.add((asset.excess.kind, utility.kind))
+            lo, hi = _feasible_bounds(asset, utility, self.BOUNDS)
+            x, w = _naive_beliefs(_AssetGrid(asset, prefs), utility, sol.alpha)
+            best, _ = _best_share(x, w, asset.r_f, utility, lo, hi)
+            assert abs(best - sol.alpha) <= _FIXED_POINT_TOL
+        assert len(kinds) == 9
+
+    def test_slope_signs_agree_with_the_inner_maximization(self):
+        # shares at multiples of tol / 4 around the best response, off the knife edges at exactly tol
+        rng = np.random.default_rng(21)
+        tol, checked = _FIXED_POINT_TOL, 0
+        for asset, prefs, utility in eta_corpus()[::4]:
+            lo, hi = _feasible_bounds(asset, utility, self.BOUNDS)
+            grid = _AssetGrid(asset, prefs)
+            for frozen in rng.uniform(lo, hi, 2):
+                x, w = _naive_beliefs(grid, utility, float(frozen))
+                best, _ = _best_share(x, w, asset.r_f, utility, lo, hi)
+                for k in (-6, -5, -3, -1, 0, 1, 3, 5, 6):
+                    share = min(max(best + 0.25 * k * tol, lo), hi)
+                    want = abs(best - share) <= tol
+                    assert _best_share_near(x, w, asset.r_f, utility, lo, hi, share, tol) == want
+                    checked += 1
+        assert checked > 100
+
+    def test_iterations_match_the_brent_confirmed_solver(self, power2):
+        # h evaluations on the README asset at the benchmark's eta grid, as counted when each
+        # candidate was confirmed by a full inner maximization
+        want = {0: 14, 1: 14, 2: 14, 3: 19, 4: 14, 5: 14, 6: 14, 7: 14}
+        for k, iterations in want.items():
+            sol = naive_alpha(NORMAL_ASSET, Preferences(eta=0.5 + 0.05 * k, lambda0=2.25), power2)
+            assert sol.iterations == iterations
+            assert sol.converged == (k < 4)
+
+
+class TestPanelWork:
+    """Solves slice the distribution's one panel set: a work count, free of timing noise."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        import bbl.distributions as distributions
+
+        queries, panels = [], []
+        real_nodes, real_query = distributions._panel_nodes, ContinuousDistribution.quad_nodes
+
+        def nodes(lo, hi):
+            panels[-1] += lo.size
+            return real_nodes(lo, hi)
+
+        def query(dist, *args):
+            queries.append(args)
+            panels.append(0)
+            return real_query(dist, *args)
+
+        monkeypatch.setattr(distributions, "_panel_nodes", nodes)
+        monkeypatch.setattr(ContinuousDistribution, "quad_nodes", query)
+        return queries, panels
+
+    @pytest.mark.parametrize("solve", ["rational", "sophisticated", "naive"])
+    def test_sub_interval_queries_renode_at_most_two_panels(self, work, solve, power2):
+        queries, panels = work
+        asset = Asset(1.0, ContinuousDistribution.normal(0.05, 0.2))
+        asset.excess.quad_nodes()
+        queries.clear(), panels.clear()
+        prefs = Preferences(eta=0.6, lambda0=2.25)
+        {"rational": lambda: rational_alpha(asset, power2),
+         "sophisticated": lambda: sophisticated_alpha(asset, prefs, power2),
+         "naive": lambda: naive_alpha(asset, prefs, power2)}[solve]()
+        assert queries
+        for args, count in zip(queries, panels):
+            assert count <= (2 if args else 0)
+
+    @pytest.mark.parametrize("excess", [ContinuousDistribution.normal(0.05, 0.2),
+                                        ContinuousDistribution.mixture([(0.8, 0.06, 0.15), (0.2, -0.2, 0.05)])],
+                             ids=["normal", "mixture"])
+    def test_sign_regions_hold_the_whole_set_and_two_clipped_panels(self, excess, calibrated_asset, power2):
+        for asset in (Asset(1.0, excess), calibrated_asset):
+            grid = _AssetGrid(asset, Preferences(eta=0.6, lambda0=2.25))
+            whole = grid.nodes[0].size
+            for alpha in (-0.3, 0.3):
+                assert whole <= grid.region(alpha).x.size <= whole + 40
 
 
 def slope_terms(asset, utility, alpha, prefs=None, short=False):
