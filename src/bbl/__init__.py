@@ -13,7 +13,6 @@ from .beliefs import (
     canonical_beliefs,
     gain_probability,
     general_residual_solve,
-    rational_utility,
     solve_optimal_beliefs,
     total_utility,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "partial_expectation",
     "partial_expectation_closed_form",
     "rational_alpha",
-    "rational_utility",
     "simpson_integral",
     "solve_optimal_beliefs",
     "sophisticated_alpha",

@@ -24,7 +24,7 @@ and loss regions of the objective probabilities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import itertools
@@ -41,7 +41,6 @@ __all__ = [
     "DiscreteLottery",
     "BeliefSolution",
     "total_utility",
-    "rational_utility",
     "gain_probability",
     "solve_optimal_beliefs",
     "canonical_beliefs",
@@ -114,11 +113,6 @@ class ConsumptionUtility:
             return 1.0 / z
         return z ** -self.rho
 
-    def to_dict(self) -> dict:
-        if self.kind == "power":
-            return {"kind": "power", "rho": self.rho}
-        return {"kind": self.kind}
-
     @classmethod
     def from_dict(cls, obj: dict) -> "ConsumptionUtility":
         _fields("utility", obj)
@@ -172,13 +166,6 @@ class DiscreteLottery:
     def mean_utility(self) -> float:
         return math.fsum(p * u for p, u in zip(self.probs, self.utilities))
 
-    def to_dict(self) -> dict:
-        return {
-            "payoffs": list(self.payoffs),
-            "probs": list(self.probs),
-            "utility": self.utility.to_dict(),
-        }
-
     @classmethod
     def from_dict(cls, obj: dict) -> "DiscreteLottery":
         payoffs, probs = _fields("lottery", obj, "payoffs", "probs")
@@ -193,7 +180,7 @@ class BeliefSolution:
     ``expectation_interval`` is the full set of maximizing subjective
     expectations (a nondegenerate interval only in knife-edge cases);
     ``subjective_expectation`` is the canonical point chosen from it and
-    ``q`` a canonical belief vector attaining it.
+    ``q`` a canonical belief vector attaining it (``to_dict`` keeps tuples).
     """
 
     q: tuple[float, ...]
@@ -203,13 +190,7 @@ class BeliefSolution:
     expectation_interval: tuple[float, float]
 
     def to_dict(self) -> dict:
-        return {
-            "q": list(self.q),
-            "subjective_expectation": self.subjective_expectation,
-            "gain_mass": self.gain_mass,
-            "total_utility": self.total_utility,
-            "expectation_interval": list(self.expectation_interval),
-        }
+        return asdict(self)
 
 
 def _check_belief_vector(lottery: DiscreteLottery, q) -> tuple[float, ...]:
@@ -235,11 +216,6 @@ def total_utility(lottery: DiscreteLottery, q, prefs: Preferences) -> float:
     q = _check_belief_vector(lottery, q)
     expectation = math.fsum(qs * us for qs, us in zip(q, lottery.utilities))
     return _utility_at_expectation(lottery, expectation, prefs)
-
-
-def rational_utility(lottery: DiscreteLottery, prefs: Preferences) -> float:
-    """Total utility when subjective beliefs equal the objective ones."""
-    return total_utility(lottery, lottery.probs, prefs)
 
 
 def gain_probability(lottery: DiscreteLottery, expectation: float) -> float:

@@ -149,7 +149,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--agent", choices=["rational", "naive", "sophisticated"], default="rational")
     p.add_argument("--utility")
     p.add_argument("--bounds")
-    p.add_argument("--n", type=int, default=2001)
     for p in sub.choices.values():
         p.add_argument("--output", "-o")
     return parser
@@ -271,7 +270,7 @@ def _cmd_verify(args) -> int:
     else:
         solution = naive_alpha(asset, prefs, utility, bounds)
         objective = naive_fixed_objective(asset, prefs, utility, solution.alpha)
-    alpha, value = grid_search_alpha(objective, bounds, args.n)
+    alpha, value = grid_search_alpha(objective, bounds)
     _emit_json({"alpha": alpha, "value": value}, args.output)
     return 0
 

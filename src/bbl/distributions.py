@@ -33,14 +33,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, _fields, _finite, _finite_tuple
-from .preferences import _VERDICT_TOL, INDIFFERENT, LINEAR, Preferences, _verdict, cutoff_probability
+from .preferences import _VERDICT_TOL, INDIFFERENT, Preferences, _interior_cutoff, _verdict
 
 __all__ = [
     "NormalComponent",
@@ -279,6 +279,20 @@ class ContinuousDistribution:
     def tabulated(cls, z, f) -> "ContinuousDistribution":
         return cls("tabulated", grid=z, density=f)
 
+    @classmethod
+    def from_dict(cls, obj: dict) -> "ContinuousDistribution":
+        _fields("distribution", obj)
+        if "normal" in obj:
+            return cls.normal(*_fields("distribution.normal", obj["normal"], "mean", "sd"))
+        if "mixture" in obj:
+            if not isinstance(obj["mixture"], list):
+                raise ValueError("distribution.mixture: expected a JSON list")
+            return cls.mixture([_fields(f"distribution.mixture[{i}]", spec, "w", "mean", "sd")
+                                for i, spec in enumerate(obj["mixture"])])
+        if "tabulated" in obj:
+            return cls.tabulated(*_fields("distribution.tabulated", obj["tabulated"], "z", "f"))
+        raise ValueError("distribution: expected one of the fields 'normal', 'mixture', 'tabulated'")
+
     # ---- basic functionals --------------------------------------------
 
     @property
@@ -437,30 +451,6 @@ class ContinuousDistribution:
                                       f"cdf gives {want!r} (shortfall {want - mass:.3g})")
         return x, w
 
-    # ---- serialization --------------------------------------------------
-
-    def to_dict(self) -> dict:
-        if self.kind == "normal":
-            c = self.components[0]
-            return {"normal": {"mean": c.mean, "sd": c.sd}}
-        if self.kind == "mixture":
-            return {"mixture": [{"w": c.weight, "mean": c.mean, "sd": c.sd} for c in self.components]}
-        return {"tabulated": {"z": list(self.grid), "f": list(self.density)}}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ContinuousDistribution":
-        _fields("distribution", obj)
-        if "normal" in obj:
-            return cls.normal(*_fields("distribution.normal", obj["normal"], "mean", "sd"))
-        if "mixture" in obj:
-            if not isinstance(obj["mixture"], list):
-                raise ValueError("distribution.mixture: expected a JSON list")
-            return cls.mixture([_fields(f"distribution.mixture[{i}]", spec, "w", "mean", "sd")
-                                for i, spec in enumerate(obj["mixture"])])
-        if "tabulated" in obj:
-            return cls.tabulated(*_fields("distribution.tabulated", obj["tabulated"], "z", "f"))
-        raise ValueError("distribution: expected one of the fields 'normal', 'mixture', 'tabulated'")
-
 
 def subjective_expectation(dist: ContinuousDistribution, p_star: float) -> float:
     """The point with upper-tail mass ``p_star``.
@@ -505,9 +495,7 @@ def naive_value(dist: ContinuousDistribution, prefs: Preferences) -> float:
     Payoffs are valued linearly, so this is just the subjective expectation
     at the agent's cutoff.
     """
-    if prefs.gain_loss.kind != LINEAR:
-        raise ValueError("continuous belief kernel requires the linear gain-loss kind")
-    return subjective_expectation(dist, cutoff_probability(prefs))
+    return subjective_expectation(dist, _interior_cutoff(prefs))
 
 
 def sophisticated_value(dist: ContinuousDistribution, prefs: Preferences) -> float:
@@ -528,13 +516,15 @@ def sophisticated_value_at(dist: ContinuousDistribution, eta: float, lambda0: fl
 
 @dataclass(frozen=True)
 class ComparisonResult:
+    """Both ranking values and their verdict; ``tolerance`` is the class-wide tie width."""
+
     value_a: float
     value_b: float
     verdict: str
-    tolerance: float = _VERDICT_TOL
+    tolerance: ClassVar[float] = _VERDICT_TOL
 
     def to_dict(self) -> dict:
-        return {"value_a": self.value_a, "value_b": self.value_b, "verdict": self.verdict}
+        return asdict(self)
 
 
 def compare(dist_a: ContinuousDistribution, dist_b: ContinuousDistribution,

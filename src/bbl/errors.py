@@ -2,6 +2,8 @@
 
 import math
 
+__all__ = ["DomainError"]
+
 
 class DomainError(ValueError):
     """A quantity left the mathematical domain it is defined on.

@@ -35,7 +35,7 @@ from ._roots import _brent_root
 from .beliefs import ConsumptionUtility, _tilt_factors
 from .distributions import ContinuousDistribution
 from .errors import DomainError, _fields, _finite
-from .preferences import LINEAR, Preferences, cutoff_probability
+from .preferences import Preferences, _interior_cutoff
 
 __all__ = [
     "Asset",
@@ -65,9 +65,6 @@ class Asset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r_f", _finite("asset.r_f", self.r_f))
-
-    def to_dict(self) -> dict:
-        return {"r_f": self.r_f, "excess": self.excess.to_dict()}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Asset":
@@ -139,11 +136,7 @@ class _AssetGrid:
         self.asset = asset
         self._built: dict = {}
         if prefs is not None:
-            if prefs.gain_loss.kind != LINEAR:
-                raise ValueError("portfolio belief machinery requires the linear gain-loss kind")
-            self.p_star = cutoff_probability(prefs)
-            if not 0.0 < self.p_star < 1.0:
-                raise DomainError(f"portfolio beliefs need a cutoff in (0, 1), got {self.p_star}")
+            self.p_star = _interior_cutoff(prefs)
 
     def _once(self, key, build):
         if key not in self._built:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import _fields, _finite
+from .errors import DomainError, _fields, _finite
 
 __all__ = [
     "GainLossSpec",
@@ -70,11 +70,6 @@ class GainLossSpec:
     def general(cls, beta: float, kappa: float) -> "GainLossSpec":
         return cls(GENERAL, beta=beta, kappa=kappa)
 
-    def to_dict(self) -> dict:
-        if self.kind == LINEAR:
-            return {"kind": LINEAR}
-        return {"kind": GENERAL, "beta": self.beta, "kappa": self.kappa}
-
     @classmethod
     def from_dict(cls, obj: dict) -> "GainLossSpec":
         _fields("gain_loss", obj)
@@ -114,14 +109,6 @@ class Preferences:
                 f"got {self.eta * self.gain_loss.beta}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "lambda": self.lambda0,
-            "gamma": self.gamma,
-            "gain_loss": self.gain_loss.to_dict(),
-        }
-
     @classmethod
     def from_dict(cls, obj: dict) -> "Preferences":
         eta, lambda0 = _fields("preferences", obj, "eta", "lambda")
@@ -146,6 +133,17 @@ def cutoff_probability(prefs: Preferences) -> float:
 
 def _cutoff(eta: float, lambda0: float) -> float:
     return (eta * lambda0 - 1.0) / (eta * (lambda0 - 1.0))
+
+
+def _interior_cutoff(prefs: Preferences) -> float:
+    """The cutoff of linear-kind ``prefs``; DomainError naming ``eta`` and ``lambda`` unless in (0, 1)."""
+    if prefs.gain_loss.kind != LINEAR:
+        raise ValueError(f"gain_loss.kind must be 'linear' for continuous beliefs, got {prefs.gain_loss.kind!r}")
+    p_star = cutoff_probability(prefs)
+    if not 0.0 < p_star < 1.0:
+        raise DomainError(f"eta={prefs.eta} and lambda={prefs.lambda0} give the cutoff {p_star}, "
+                          "outside (0, 1): it needs eta*lambda > 1 and eta < 1")
+    return p_star
 
 
 def eta_for_cutoff(p_star: float, lambda0: float) -> float:

@@ -10,7 +10,8 @@ beliefs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 from .beliefs import DiscreteLottery, _check_belief_vector, solve_optimal_beliefs, total_utility
 from .preferences import _VERDICT_TOL, INDIFFERENT, Preferences, _verdict, gain_loss
@@ -24,13 +25,15 @@ WAIT = "wait"
 
 @dataclass(frozen=True)
 class TimingVerdict:
+    """Both utilities at the optimal beliefs and their verdict; ``tolerance`` is the class-wide tie width."""
+
     u_early: float
     u_wait: float
     verdict: str
-    tolerance: float = _VERDICT_TOL
+    tolerance: ClassVar[float] = _VERDICT_TOL
 
     def to_dict(self) -> dict:
-        return {"u_early": self.u_early, "u_wait": self.u_wait, "verdict": self.verdict}
+        return asdict(self)
 
 
 def utility_early(lottery: DiscreteLottery, q, prefs: Preferences) -> float:

@@ -32,7 +32,6 @@ from bbl import (
     partial_expectation,
     partial_expectation_closed_form,
     rational_alpha,
-    rational_utility,
     simpson_integral,
     solve_optimal_beliefs,
     sophisticated_alpha,
@@ -86,7 +85,7 @@ def test_criterion_2_two_state_table():
         sol = solve_optimal_beliefs(high, prefs)
         assert sol.q[1] == pytest.approx(1.0, abs=1e-12)
         assert sol.total_utility == pytest.approx(0.82, abs=1e-12)
-        assert rational_utility(high, prefs) == pytest.approx(0.81, abs=1e-12)
+        assert total_utility(high, high.probs, prefs) == pytest.approx(0.81, abs=1e-12)
         low = DiscreteLottery((0.0, 1.0), (0.5, 0.5))
         assert solve_optimal_beliefs(low, prefs).q[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -95,7 +94,7 @@ def test_criterion_3_biased_beliefs_dominate(lottery_corpus):
     with criterion(3, "solver beats rational beliefs and simplex oracle", 60.0):
         for lot, prefs in lottery_corpus:
             sol = solve_optimal_beliefs(lot, prefs)
-            assert sol.total_utility >= rational_utility(lot, prefs) - 1e-12
+            assert sol.total_utility >= total_utility(lot, lot.probs, prefs) - 1e-12
             _, oracle = grid_search_beliefs(lot, prefs, step=0.02)
             assert sol.total_utility >= oracle - 1e-12
 

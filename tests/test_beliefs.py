@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from bbl import (
     cutoff_probability,
     gain_probability,
     grid_search_beliefs,
-    rational_utility,
     solve_optimal_beliefs,
     total_utility,
 )
@@ -66,9 +66,11 @@ class TestLottery:
         with pytest.raises(DomainError):
             DiscreteLottery((0.0, 1.0), (0.5, 0.5), ConsumptionUtility("log")).utilities
 
-    def test_json_round_trip(self):
+    def test_from_dict_readme_schema(self):
         lot = DiscreteLottery((0.0, 2.0), (0.25, 0.75), ConsumptionUtility("power", 2.0))
-        assert DiscreteLottery.from_dict(lot.to_dict()) == lot
+        parsed = DiscreteLottery.from_dict(
+            json.loads('{"payoffs": [0, 2], "probs": [0.25, 0.75], "utility": {"kind": "power", "rho": 2}}'))
+        assert parsed == lot and hash(parsed) == hash(lot) and repr(parsed) == repr(lot)
 
 
 class TestTotalUtility:
@@ -105,11 +107,11 @@ class TestTotalUtility:
             p * (u - mean if u >= mean else 2.25 * (u - mean))
             for p, u in zip(lot.probs, lot.utilities)
         )
-        assert rational_utility(lot, PREFS) == pytest.approx(by_hand, abs=1e-12)
+        assert total_utility(lot, lot.probs, PREFS) == pytest.approx(by_hand, abs=1e-12)
 
     def test_rational_utility_degenerate(self):
         lot = DiscreteLottery((3.5,), (1.0,))
-        assert rational_utility(lot, PREFS) == pytest.approx(3.5, abs=1e-12)
+        assert total_utility(lot, lot.probs, PREFS) == pytest.approx(3.5, abs=1e-12)
 
 
 class TestGainProbability:
@@ -174,7 +176,7 @@ class TestSolve:
     def test_biased_at_least_rational(self, lottery_corpus):
         for lot, prefs in lottery_corpus[:150]:
             sol = solve_optimal_beliefs(lot, prefs)
-            u_re = rational_utility(lot, prefs)
+            u_re = total_utility(lot, lot.probs, prefs)
             assert sol.total_utility >= u_re - 1e-12
             p_plus0 = gain_probability(lot, lot.mean_utility)
             if abs(p_plus0 - cutoff_probability(prefs)) > 1e-9:

@@ -264,6 +264,34 @@ class TestVerify:
         alpha, value = grid_search_alpha(objective, (-1.0, 1.0))
         assert json.loads(out) == {"alpha": float(f"{alpha:.10g}"), "value": float(f"{value:.10g}")}
 
+    @pytest.mark.parametrize("eta", [0.5, 0.7, 0.9])
+    def test_alpha_oracle_naive(self, cli, calibrated_asset, power2, eta):
+        """The benchmark's rule: the scan of the frozen objective at ``naive_alpha``'s share
+        finds its argmax within two grid steps of that share, and beats the objective there
+        by at most 1e-7 relative."""
+        from bbl import Preferences, naive_alpha
+        from bbl.portfolio import naive_fixed_objective
+
+        excess = calibrated_asset.excess
+        asset_json = json.dumps({"r_f": 1.0, "excess": {"tabulated": {"z": excess.grid, "f": excess.density}}})
+        code, out, err = cli("verify", "alpha", "--asset", asset_json, "--utility", '{"kind":"power","rho":2}',
+                             "--agent", "naive", "--prefs", json.dumps({"eta": eta, "lambda": 2.25}),
+                             "--bounds=-10:10")
+        assert code == 0, err
+        payload = json.loads(out)
+        prefs = Preferences(eta=eta, lambda0=2.25)
+        solved = naive_alpha(calibrated_asset, prefs, power2, (-10.0, 10.0))
+        assert solved.converged
+        value = naive_fixed_objective(calibrated_asset, prefs, power2, solved.alpha)(solved.alpha)
+        assert abs(payload["alpha"] - solved.alpha) <= 2.0 * 20.0 / 2000
+        assert payload["value"] <= value + 1e-7 * max(1.0, abs(value))
+
+    def test_point_count_flag_is_gone(self, cli):
+        code, out, err = cli("verify", "alpha", "--asset", ASSET, "--n", "5")
+        assert code == 1
+        assert out == ""
+        assert "--n" in err
+
     @pytest.mark.parametrize("argv, flag", [
         (("beliefs",), "--lottery"),
         (("beliefs", "--lottery", LOTTERY), "--prefs"),
@@ -320,6 +348,34 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err == f"bbl: error: {message}\n"
+
+    @pytest.mark.parametrize("eta", ["0.3", "1"], ids=["cutoff-negative", "cutoff-one"])
+    @pytest.mark.parametrize("argv", [
+        ("portfolio", "--asset", ASSET, "--agent", "naive"),
+        ("portfolio", "--asset", ASSET, "--agent", "sophisticated"),
+        ("verify", "alpha", "--asset", ASSET, "--agent", "naive"),
+        ("compare", "--dist-a", NORMAL, "--dist-b", NORMAL, "--agent", "naive"),
+        ("compare", "--dist-a", NORMAL, "--dist-b", NORMAL, "--agent", "sophisticated"),
+    ], ids=["portfolio-naive", "portfolio-sophisticated", "verify-alpha-naive", "compare-naive",
+            "compare-sophisticated"])
+    def test_cutoff_outside_unit_interval_names_eta_and_lambda(self, cli, argv, eta):
+        # eta*lambda < 1 gives a negative cutoff, eta = 1 a cutoff of exactly 1
+        code, out, err = cli(*argv, "--prefs", f'{{"eta":{eta},"lambda":2.25}}')
+        assert code == 1
+        assert out == ""
+        assert f"eta={float(eta)}" in err and "lambda=2.25" in err
+        assert "eta*lambda > 1 and eta < 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("portfolio", "--asset", ASSET, "--agent", "naive"),
+        ("compare", "--dist-a", NORMAL, "--dist-b", NORMAL, "--agent", "sophisticated"),
+    ], ids=["portfolio", "compare"])
+    def test_general_gain_loss_kind_named(self, cli, argv):
+        prefs = '{"eta":0.8,"lambda":2.25,"gain_loss":{"kind":"general","beta":1,"kappa":1}}'
+        code, out, err = cli(*argv, "--prefs", prefs)
+        assert code == 1
+        assert out == ""
+        assert "gain_loss.kind" in err
 
     def test_bad_grid(self, cli):
         code, _, err = cli("equilibrium", "--dist", NORMAL, "--lambda", "2.25",

@@ -596,19 +596,3 @@ class TestSolutionInvariants:
             assert bounds[0] - 1e-12 <= sol.alpha <= bounds[1] + 1e-12
             sol = sophisticated_alpha(calibrated_asset, prefs_for(0.5), power2, bounds)
             assert bounds[0] - 1e-12 <= sol.alpha <= bounds[1] + 1e-12
-
-
-class TestNarrowMixtureComponent:
-    """The rational share of ``0.5 N(0.02, 0.2) + 0.5 N(m, s)`` moves continuously as
-    s shrinks: every component gets its own quadrature panels."""
-
-    @pytest.mark.parametrize("rho,m", [(2.0, 0.01), (8.0, 0.06)])
-    def test_share_continuous_as_sd_falls(self, rho, m):
-        utility = ConsumptionUtility("power", rho)
-        shares = [rational_alpha(Asset(1.0, ContinuousDistribution.mixture([(0.5, 0.02, 0.2), (0.5, m, float(s))])),
-                                 utility, (-10.0, 10.0)).alpha for s in np.geomspace(0.02, 1e-5, 40)]
-        steps = np.abs(np.diff(shares))
-        # measured: at most 1.1e-3 per step, shrinking to ~2e-10 as the component becomes a point mass
-        assert steps.max() <= 2e-3
-        assert steps[-10:].max() <= 1e-7
-        assert all(np.diff(steps[-10:]) < 0)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -133,13 +134,18 @@ class TestValidation:
 
 
 class TestJson:
-    def test_round_trip_linear(self):
-        p = Preferences(eta=0.8, lambda0=2.25, gamma=0.5)
-        assert Preferences.from_dict(p.to_dict()) == p
+    @staticmethod
+    def assert_parses_to(text, p):
+        parsed = Preferences.from_dict(json.loads(text))
+        assert parsed == p and hash(parsed) == hash(p) and repr(parsed) == repr(p)
 
-    def test_round_trip_general(self):
-        p = Preferences(eta=0.6, lambda0=2.25, gain_loss=GainLossSpec.general(1.2, 4.0))
-        assert Preferences.from_dict(p.to_dict()) == p
+    def test_from_dict_linear(self):
+        self.assert_parses_to('{"eta": 0.8, "lambda": 2.25, "gamma": 0.5, "gain_loss": {"kind": "linear"}}',
+                              Preferences(eta=0.8, lambda0=2.25, gamma=0.5))
+
+    def test_from_dict_general(self):
+        self.assert_parses_to('{"eta": 0.6, "lambda": 2.25, "gain_loss": {"kind": "general", "beta": 1.2, "kappa": 4}}',
+                              Preferences(eta=0.6, lambda0=2.25, gain_loss=GainLossSpec.general(1.2, 4.0)))
 
     def test_gamma_optional(self):
         p = Preferences.from_dict({"eta": 0.8, "lambda": 2.25})
