@@ -236,8 +236,10 @@ def _random_prefs(rng: np.random.Generator) -> Preferences:
 def _cmd_verify(args) -> int:
     if args.target == "beliefs":
         _checked("--step", _grid_step, args.step)
+        if args.random < 0:
+            raise ValueError(f"argument --random: expected a non-negative case count, got {args.random}")
         if args.random > 0:
-            rng = np.random.default_rng(args.seed)
+            rng = _checked("--seed", np.random.default_rng, args.seed)
             failures = 0
             worst = 0.0
             for _ in range(args.random):

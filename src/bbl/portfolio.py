@@ -1,26 +1,22 @@
 """One-risky/one-risk-free allocation for rational, naive and sophisticated agents.
 
-Wealth is ``r_f + alpha * R`` where ``R`` is the realized excess return.
-Three solvers share the quadrature grid of the excess-return distribution:
+Wealth is ``r_f + alpha * R`` where ``R`` is the realized excess return.  Each
+agent maximizes ``sum W u(r_f + a x)`` over quadrature nodes ``x`` of the
+excess distribution with positive weights ``W``:
 
-* ``rational_alpha``      -- maximizes objective expected utility;
-* ``naive_alpha``         -- a fixed point between the optimal-belief tilt of
-  the density (at the current share) and the share maximizing subjective
-  expected utility under that tilt: on each sign region of the share, a
-  bracketed root of the slope at ``a = alpha`` of utility under the beliefs
-  frozen at ``alpha``, confirmed against the gap ``argmax_a obj_alpha(a) - alpha``;
-* ``sophisticated_alpha`` -- maximizes expected utility with the loss
-  region (the lower ``1 - p_star`` quantile region of the induced utility
-  payoff) overweighted by ``lambda``.
+* ``rational_alpha``      -- the objective grid;
+* ``sophisticated_alpha`` -- on each sign region of the share, ``eta`` times the
+  sum over the objective grid followed by the region's loss nodes (beyond the
+  belief cutoff) weighted by ``lambda - 1``;
+* ``naive_alpha``         -- a fixed point: the share is the maximizer under the
+  beliefs tilted at that share.  On each sign region, a bracketed root of the
+  slope at ``a = alpha`` of utility under the beliefs frozen at ``alpha``,
+  confirmed against the gap ``argmax_a obj_alpha(a) - alpha``.
 
-Each maximization is of ``sum W u(r_f + a x)`` over nodes ``x`` with positive
-weights ``W``: the objective grid for the rational agent, the tilted beliefs
-for the naive inner step, and for the sophisticated agent on each sign region
-of the share the objective grid followed by that region's loss nodes weighted
-by ``lambda - 1``.  Such a sum is concave, so ``_best_share`` finds its maximum
-as the Brent root of the first-order condition, or the bound its slope points
-to.  Bounds are clipped to the range where wealth stays inside the utility
-domain.
+Such a sum is concave, so ``_best_share`` finds its maximum as the Brent root
+of the first-order condition, or the bound its slope points to.  Bounds are
+clipped to the range where wealth stays inside the utility domain.  A biased
+agent's ``r_ce`` is its belief cutoff, a quantile of the excess return.
 """
 
 from __future__ import annotations
@@ -77,8 +73,9 @@ class PortfolioSolution:
     """Solved risky share with the quantities used to interpret it.
 
     ``belief_expectation`` is the expectation of consumption utility under
-    the agent's operative beliefs at the solution; ``r_ce`` the excess
-    return whose sure receipt matches it (undefined at ``alpha = 0``).
+    the agent's operative beliefs at the solution; ``r_ce`` the excess return
+    whose sure receipt matches it (None at ``alpha = 0``): the belief cutoff for
+    the biased agents, ``(u^-1(value) - r_f) / alpha`` for the rational one.
     ``iterations`` counts evaluations of the first-order-condition slope for
     the rational and sophisticated agents (over both sign regions for the
     latter), and evaluations of ``h``, the slope of the frozen-belief
@@ -137,6 +134,7 @@ class _AssetGrid:
         self._built: dict = {}
         if prefs is not None:
             self.p_star = _interior_cutoff(prefs)
+            self.overweight = prefs.lambda0 - 1.0
 
     def _once(self, key, build):
         if key not in self._built:
@@ -158,23 +156,29 @@ class _AssetGrid:
         ends = (lo, self.cut(alpha)) if below else (self.cut(alpha), hi)
         return self._once((below, alpha >= 0), lambda: self.asset.excess.quad_nodes(*ends))
 
-    def loss_nodes(self, alpha: float):
-        return self._beside_cut(alpha, below=alpha >= 0)
-
     def region(self, alpha: float) -> _Region:
         def build():
-            (gx, gw), (lx, lw) = self._beside_cut(alpha, below=alpha < 0), self.loss_nodes(alpha)
+            (gx, gw), (lx, lw) = self._beside_cut(alpha, alpha < 0), self._beside_cut(alpha, alpha >= 0)
             x, w = np.concatenate((gx, lx)), np.concatenate((gw, lw))
             return _Region(x, w, w * x, gx.size, float(np.sum(gw)), float(np.sum(lw)))
 
         return self._once(("region", alpha >= 0), build)
+
+    def overweighted(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """The sophisticated agent's nodes and weights on the sign region of ``alpha``:
+        the whole grid followed by the region's loss nodes, weighted ``lambda - 1``."""
+        def build():
+            (x, w), (lx, lw) = self.nodes, self._beside_cut(alpha, below=alpha >= 0)
+            return np.concatenate((x, lx)), np.concatenate((w, self.overweight * lw))
+
+        return self._once(("overweighted", alpha >= 0), build)
 
 
 def _expected_utility(utility: ConsumptionUtility, r_f: float, a: float, x: np.ndarray,
                       w: np.ndarray) -> float:
     """``sum w u(r_f + a x)``, or ``-inf`` when wealth leaves the utility domain."""
     wealth = r_f + a * x
-    if utility.needs_positive_wealth and (wealth.size == 0 or wealth.min() <= 0):
+    if utility.needs_positive_wealth and wealth.min() <= 0:
         return -math.inf
     return float(w @ utility.value_array(wealth))
 
@@ -195,19 +199,10 @@ def rational_objective(asset: Asset, utility: ConsumptionUtility = ConsumptionUt
 
 def sophisticated_objective(asset: Asset, prefs: Preferences,
                             utility: ConsumptionUtility = ConsumptionUtility()):
-    """Loss-overweighted expected utility as a callable of the risky share."""
+    """Loss-overweighted expected utility as a callable of the risky share, over the node set
+    ``sophisticated_alpha`` maximizes on the share's sign region; ``-inf`` off the domain."""
     grid = _AssetGrid(asset, prefs)
-    x, w = grid.nodes
-    overweight = prefs.lambda0 - 1.0
-
-    def objective(alpha: float) -> float:
-        full = _expected_utility(utility, asset.r_f, alpha, x, w)
-        if full == -math.inf:
-            return full
-        lx, lw = grid.loss_nodes(alpha)
-        return prefs.eta * (full + overweight * _expected_utility(utility, asset.r_f, alpha, lx, lw))
-
-    return objective
+    return lambda alpha: prefs.eta * _expected_utility(utility, asset.r_f, alpha, *grid.overweighted(alpha))
 
 
 def _belief_tilt(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):
@@ -319,16 +314,36 @@ def _sign_regions(lo: float, hi: float) -> list[tuple[float, float]]:
     return ([(lo, min(hi, 0.0))] if lo < 0 else []) + ([(max(lo, 0.0), hi)] if hi > 0 else [])
 
 
+def _highest(candidates, tie: float):
+    """The ``(share, value)`` of highest value among ``candidates`` in ascending share order,
+    a later one winning only by more than ``tie`` (lowest share on ties); None if empty."""
+    best = None
+    for share, value in candidates:
+        if best is None or value > best[1] + tie:
+            best = (share, value)
+    return best
+
+
+def _concave_solve(r_f: float, utility: ConsumptionUtility, regions, nodes, scale: float = 1.0):
+    """Best share over ``regions``, in ascending order: on each region ``(lo, hi)`` the
+    ``_best_share`` of ``scale * sum W u(r_f + a x)`` over the nodes ``nodes(lo)``, the
+    regions compared by ``_highest``.  Returns (share, value, slope evaluations)."""
+    candidates, calls = [], 0
+    for lo, hi in regions:
+        x, w = nodes(lo)
+        alpha, n = _best_share(x, w, r_f, utility, lo, hi)
+        candidates.append((alpha, scale * _expected_utility(utility, r_f, alpha, x, w)))
+        calls += n
+    return (*_highest(candidates, 1e-15), calls)
+
+
 def rational_alpha(asset: Asset, utility: ConsumptionUtility = ConsumptionUtility(),
                    bounds=DEFAULT_BOUNDS) -> PortfolioSolution:
     """Share maximizing objective expected utility on the given bounds."""
     lo, hi = _feasible_bounds(asset, utility, bounds)
-    x, w = _AssetGrid(asset).nodes
-    alpha, iters = _best_share(x, w, asset.r_f, utility, lo, hi)
-    value = _expected_utility(utility, asset.r_f, alpha, x, w)
-    r_ce = None
-    if alpha != 0.0:
-        r_ce = (utility.inverse(value) - asset.r_f) / alpha
+    grid = _AssetGrid(asset)
+    alpha, value, iters = _concave_solve(asset.r_f, utility, [(lo, hi)], lambda _: grid.nodes)
+    r_ce = None if alpha == 0.0 else (utility.inverse(value) - asset.r_f) / alpha
     return PortfolioSolution(alpha=alpha, belief_expectation=value, r_ce=r_ce,
                              value=value, converged=True, iterations=iters)
 
@@ -384,28 +399,23 @@ def naive_alpha(asset: Asset, prefs: Preferences,
     fixed = sorted(alpha for alpha in set(candidates)
                    if _best_share_near(*_naive_beliefs(grid, utility, alpha), asset.r_f, utility, lo, hi,
                                        alpha, _FIXED_POINT_TOL))
-    best_alpha, best_total = None, -math.inf
-    for alpha in fixed:
-        total = _total_utility_at(grid, prefs, utility, alpha)
-        if best_alpha is None or total > best_total + 1e-12:
-            best_alpha, best_total = alpha, total
-    if best_alpha is None:
-        best_alpha = min(samples, key=lambda s: abs(gap(s)))
+    best = _highest([(alpha, _total_utility_at(grid, prefs, utility, alpha)) for alpha in fixed], 1e-12)
+    best_alpha = min(samples, key=lambda s: abs(gap(s))) if best is None else best[0]
     x, w = _naive_beliefs(grid, utility, best_alpha)
-    belief_expectation, r_ce = _belief_finish(grid, utility, best_alpha)
-    return PortfolioSolution(alpha=best_alpha, belief_expectation=belief_expectation, r_ce=r_ce,
-                             value=_expected_utility(utility, asset.r_f, best_alpha, x, w),
+    return PortfolioSolution(best_alpha, *_belief_finish(grid, utility, best_alpha),
+                             _expected_utility(utility, asset.r_f, best_alpha, x, w),
                              converged=bool(fixed), iterations=len(evaluated))
 
 
 def _belief_finish(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):
-    """``belief_expectation`` and ``r_ce`` at the share ``alpha``: the utility of the
-    payoff at the belief cutoff, and the sure excess return matching it (None at alpha = 0)."""
+    """``belief_expectation`` and ``r_ce`` at the share ``alpha``: the utility of the payoff
+    at the belief cutoff, and the cutoff (None at alpha = 0), which is in closed form the
+    ``r`` solving ``u(r_f + alpha r) = u(r_f + alpha cut)`` for a strictly increasing ``u``."""
     r_f = grid.asset.r_f
     if alpha == 0.0:
         return utility.value(r_f), None
-    expectation = utility.value(r_f + alpha * grid.cut(alpha))
-    return expectation, (utility.inverse(expectation) - r_f) / alpha
+    cut = grid.cut(alpha)
+    return utility.value(r_f + alpha * cut), cut
 
 
 def sophisticated_alpha(asset: Asset, prefs: Preferences,
@@ -413,35 +423,23 @@ def sophisticated_alpha(asset: Asset, prefs: Preferences,
                         bounds=DEFAULT_BOUNDS) -> PortfolioSolution:
     """Share maximizing the loss-overweighted objective, per sign region.
 
-    On a sign region the objective is ``eta`` times ``sum W u(r_f + a x)`` over
-    the objective grid followed by the region's loss nodes, weighted by
+    On a sign region ``sophisticated_objective`` is ``eta`` times ``sum W u(r_f + a x)``
+    over the objective grid followed by the region's loss nodes, weighted by
     ``lambda - 1``; it is concave there, so each region's maximum is one
     ``_best_share``.  The regions are compared by value (lowest share on ties).
     """
     lo, hi = _feasible_bounds(asset, utility, bounds)
     grid = _AssetGrid(asset, prefs)
-    overweight = prefs.lambda0 - 1.0
-
-    best_alpha, best_value, total_calls = None, -math.inf, 0
-    for r_lo, r_hi in _sign_regions(lo, hi) or [(lo, hi)]:
-        lx, lw = grid.loss_nodes(r_lo)
-        x, w = np.concatenate((grid.nodes[0], lx)), np.concatenate((grid.nodes[1], overweight * lw))
-        alpha, calls = _best_share(x, w, asset.r_f, utility, r_lo, r_hi)
-        total_calls += calls
-        value = prefs.eta * _expected_utility(utility, asset.r_f, alpha, x, w)
-        if value > best_value + 1e-15 or (
-            abs(value - best_value) <= 1e-15 and (best_alpha is None or alpha < best_alpha)
-        ):
-            best_alpha, best_value = alpha, value
-
-    belief_expectation, r_ce = _belief_finish(grid, utility, best_alpha)
-    return PortfolioSolution(alpha=best_alpha, belief_expectation=belief_expectation,
-                             r_ce=r_ce, value=best_value, converged=True, iterations=total_calls)
+    alpha, value, iters = _concave_solve(asset.r_f, utility, _sign_regions(lo, hi) or [(lo, hi)],
+                                         grid.overweighted, prefs.eta)
+    return PortfolioSolution(alpha, *_belief_finish(grid, utility, alpha), value,
+                             converged=True, iterations=iters)
 
 
 def certainty_equivalent_excess(asset: Asset, alpha: float, prefs: Preferences,
                                 utility: ConsumptionUtility = ConsumptionUtility()) -> float:
-    """Sure excess return matching the subjective expected utility at ``alpha``."""
+    """Sure excess return matching the subjective expected utility at ``alpha``: the belief
+    cutoff, the ``1 - p_star`` quantile of the excess return (the ``p_star`` one for ``alpha < 0``)."""
     alpha = _finite("alpha", alpha)
     if alpha == 0.0:
         raise DomainError("certainty-equivalent excess return is undefined at alpha = 0")

@@ -444,9 +444,12 @@ class TestErrors:
           "--agent", "naive"), "distribution.normal"),
         (("compare", "--dist-a", NORMAL, "--dist-b", '{"mixture":3}', "--prefs", PREFS,
           "--agent", "naive"), "distribution.mixture"),
+        (("verify", "beliefs", "--random", "3", "--seed", "-1"), "argument --seed"),
+        (("verify", "beliefs", "--random", "-1"), "argument --random"),
     ], ids=["probs-nan", "payoffs-inf", "payoffs-overflow", "payoffs-not-list", "rho-nan", "eta-nan",
             "gamma-nan", "beta-nan", "kappa-inf", "pstar-lambda-inf", "pstar-inverse-lambda-nan",
-            "equilibrium-lambda-inf", "asset-r_f-nan", "normal-not-object", "mixture-not-list"])
+            "equilibrium-lambda-inf", "asset-r_f-nan", "normal-not-object", "mixture-not-list",
+            "verify-seed-negative", "verify-random-negative"])
     def test_non_finite_or_malformed_input_named(self, cli, argv, field):
         code, out, err = cli(*argv)
         assert code == 1

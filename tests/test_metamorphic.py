@@ -5,6 +5,8 @@ follow, runs the solver on both inputs and compares.  The corpus is seeded,
 and every tolerance below is a measured worst case with headroom.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,13 @@ from bbl import (
     ConsumptionUtility,
     ContinuousDistribution,
     Preferences,
+    cutoff_probability,
     eta_for_cutoff,
     naive_alpha,
     rational_alpha,
     sophisticated_alpha,
+    subjective_expectation,
+    sweep,
 )
 from bbl._roots import _ROOT_X_TOL
 
@@ -90,3 +95,57 @@ class TestNarrowMixtureComponent:
         assert steps.max() <= 2e-3
         assert steps[-10:].max() <= 1e-7
         assert all(np.diff(steps[-10:]) < 0)
+
+
+def random_density(rng, kind):
+    """A seeded normal, two- or three-component mixture, or 25-point tabulated density on [-2, 2]."""
+    if kind == "normal":
+        return ContinuousDistribution.normal(rng.uniform(-1.0, 1.0), rng.uniform(0.05, 2.0))
+    if kind == "mixture":
+        weights = rng.dirichlet(np.ones(int(rng.integers(2, 4))))
+        return ContinuousDistribution.mixture([(float(w), rng.uniform(-1.0, 1.0), rng.uniform(0.05, 1.0))
+                                               for w in weights])
+    z = np.concatenate(([-2.0], np.sort(rng.uniform(-2.0, 2.0, 23)), [2.0]))
+    f = rng.uniform(0.05, 1.0, z.size)
+    f /= np.sum((f[1:] + f[:-1]) * np.diff(z)) / 2.0
+    return ContinuousDistribution.tabulated(tuple(z), tuple(f))
+
+
+def shifted(dist, c):
+    """``dist`` moved right by ``c``: every component mean, or every grid point, plus ``c``."""
+    if dist.kind == "tabulated":
+        return replace(dist, grid=tuple(z + c for z in dist.grid))
+    return replace(dist, components=tuple(replace(k, mean=k.mean + c) for k in dist.components))
+
+
+SHIFTS = (-3.0, -0.37, 0.5, 2.0, 10.0)
+PROBS = (1e-6, 1e-4, 1e-2, *np.linspace(0.05, 0.95, 19), 1.0 - 1e-2, 1.0 - 1e-4, 1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("kind", ["normal", "mixture", "tabulated"])
+def test_mean_shift_moves_quantiles_and_prices(kind):
+    """Moving a density right by ``c`` moves every quantile by ``c``, every rational and
+    naive price by ``eta c``, and every sophisticated price by ``eta (c + (lambda - 1) c F(E))``:
+    the lower partial moment below the moved expectation ``E + c`` gains ``c F(E)``.
+
+    Errors as a fraction of the support width, worst measured over 40 densities per kind
+    on seeds 1-10 and this one: quantiles 1.3e-12 (mixtures, at p = 1 - 1e-6, where one
+    ulp of the cdf spans ~1e-11 of excess return), rational and naive prices 2.2e-15,
+    sophisticated prices 6.6e-14 (narrow normals moved by 10, whose partial moment reads
+    the rounding of positions near 10 through the density).
+    """
+    rng = np.random.default_rng({"normal": 1, "mixture": 2, "tabulated": 3}[kind] + 20261021)
+    for _ in range(40):
+        dist, lam = random_density(rng, kind), float(rng.uniform(1.5, 3.0))
+        width = dist.support[1] - dist.support[0]
+        rows = sweep(dist, lam)
+        for c in SHIFTS:
+            moved = shifted(dist, c)
+            for p in PROBS:
+                assert abs(moved.quantile(p) - dist.quantile(p) - c) <= 5e-12 * width
+            for row, moved_row in zip(rows, sweep(moved, lam)):
+                below = dist.cdf(subjective_expectation(dist, cutoff_probability(Preferences(row.eta, lam))))
+                assert abs(moved_row.pi_rational - row.pi_rational - row.eta * c) <= 1e-14 * width
+                assert abs(moved_row.pi_naive - row.pi_naive - row.eta * c) <= 1e-14 * width
+                assert abs(moved_row.pi_sophisticated - row.pi_sophisticated
+                           - row.eta * (c + (lam - 1.0) * c * below)) <= 3e-13 * width

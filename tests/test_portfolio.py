@@ -382,7 +382,12 @@ class TestConcaveCorpus:
         spacing = (self.BOUNDS[1] - self.BOUNDS[0]) / 2000
         for asset, prefs, utility, sol, objective in solved:
             scale = max(1.0, abs(sol.value))
-            assert abs(objective(sol.alpha) - sol.value) <= 1e-12 * scale
+            if sol.alpha != 0:
+                # the solver's value is its own objective, term for term
+                assert objective(sol.alpha) == sol.value
+            else:
+                # at the kink the objective reads the alpha >= 0 side, the solver either side
+                assert abs(objective(sol.alpha) - sol.value) <= 1e-12 * scale
             grid_alpha, grid_value = grid_search_alpha(objective, self.BOUNDS)
             assert grid_value - sol.value <= 1e-9 * scale
             assert abs(grid_alpha - sol.alpha) <= spacing
@@ -499,6 +504,18 @@ class TestCertaintyEquivalent:
         assert power2.value(calibrated_asset.r_f + alpha * r_ce) == pytest.approx(
             expected_utility, abs=1e-9)
 
+    @pytest.mark.parametrize("alpha", [1e-9, 6.45e-7, 0.3, -0.5])
+    @pytest.mark.parametrize("utility", [LINEAR, LOG, ConsumptionUtility("power", 2.0)],
+                             ids=["linear", "log", "power2"])
+    def test_is_the_cutoff_quantile(self, alpha, utility, calibrated_asset):
+        """``u(r_f + alpha r) = u(r_f + alpha cut)`` gives ``r = cut`` exactly, also at
+        shares so small that inverting ``u`` would lose most digits."""
+        prefs = Preferences(0.7, 2.25)
+        p_star = cutoff_probability(prefs)
+        for asset in (NORMAL_ASSET, calibrated_asset):
+            cut = asset.excess.quantile(1.0 - p_star if alpha > 0 else p_star)
+            assert certainty_equivalent_excess(asset, alpha, prefs, utility) == cut
+
     def test_zero_share_rejected(self, calibrated_asset):
         with pytest.raises(DomainError):
             certainty_equivalent_excess(calibrated_asset, 0.0, prefs_for(0.5), LINEAR)
@@ -577,6 +594,22 @@ class TestNonFiniteBounds:
 
 
 class TestSolutionInvariants:
+    @pytest.mark.parametrize("solve", [naive_alpha, sophisticated_alpha], ids=["naive", "sophisticated"])
+    def test_biased_r_ce_is_the_cutoff_quantile(self, solve, power2):
+        """A biased agent's ``r_ce`` is its belief cutoff: the ``1 - p_star`` quantile of
+        the excess return for a long share, the ``p_star`` quantile for a short one."""
+        readme = [(NORMAL_ASSET, Preferences(eta=eta, lambda0=2.25), power2) for eta in (0.70, 0.75, 0.80, 0.85)]
+        signs = set()
+        for asset, prefs, utility in naive_corpus() + eta_corpus() + readme:
+            sol = solve(asset, prefs, utility, (-10.0, 10.0))
+            if sol.alpha == 0:
+                assert sol.r_ce is None
+                continue
+            p_star = cutoff_probability(prefs)
+            assert sol.r_ce == asset.excess.quantile(1.0 - p_star if sol.alpha > 0 else p_star)
+            signs.add(sol.alpha > 0)
+        assert signs == {True, False}
+
     def test_round_trip_belief_expectation(self, calibrated_asset, power2):
         for p_star in (0.25, 0.75):
             prefs = prefs_for(p_star)
