@@ -26,7 +26,9 @@ serves only the portfolio solvers and the cross-check against the closed forms:
 one read-only panel set over the whole support, built on first use (a tabulated
 density's cells, or equal panels over each component's envelope, merged), which
 a sub-interval slices, with fresh nodes only on the at most two panels its ends
-clip; every node set's mass is checked against the cdf.
+clip; a cutoff splits it into both halves at one index, with fresh nodes only
+on the one panel that holds the cut.  Every node set's mass is checked against
+the cdf.
 """
 
 from __future__ import annotations
@@ -444,12 +446,36 @@ class ContinuousDistribution:
             ew *= self.pdf(ex)
             k = _GL_ORDER * len(head)
             x, w = np.concatenate((ex[:k], x, ex[k:])), np.concatenate((ew[:k], w, ew[k:]))
+        self._check_mass(lo, hi, w)
+        return x, w
+
+    def _split(self, cut: float) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """``(quad_nodes(lo, cut), quad_nodes(cut, hi))`` on the support ``[lo, hi]``: both
+        halves slice the panel set at one index, and only the panel that holds ``cut`` gets
+        fresh nodes, on each side of it; each half's mass is checked as in ``quad_nodes``."""
+        s_lo, s_hi = self.support
+        cut = min(max(cut, s_lo), s_hi)
+        edges, x, w = self._panel_set()
+        i = int(np.searchsorted(edges, cut, "right")) - 1  # the panel holding cut, or the edge at it
+        n, k = _GL_ORDER * i, _GL_ORDER
+        below, above = (x[:n], w[:n]), (x[n:], w[n:])
+        if edges[i] < cut:
+            ex, ew = _panel_nodes(np.array([edges[i], cut]), np.array([cut, edges[i + 1]]))
+            ew *= self.pdf(ex)
+            below = np.concatenate((x[:n], ex[:k])), np.concatenate((w[:n], ew[:k]))
+            above = np.concatenate((ex[k:], x[n + k:])), np.concatenate((ew[k:], w[n + k:]))
+        self._check_mass(s_lo, cut, below[1])
+        self._check_mass(cut, s_hi, above[1])
+        return below, above
+
+    def _check_mass(self, lo: float, hi: float, w: np.ndarray) -> None:
+        """ArithmeticError when the node weights ``w`` on ``[lo, hi]`` of a normal or mixture
+        miss the mass ``cdf(hi) - cdf(lo)`` by more than ``_NODE_MASS_TOL``."""
         if self.kind != "tabulated":
             mass, want = float(w.sum()), self.cdf(hi) - self.cdf(lo)
             if not abs(mass - want) <= _NODE_MASS_TOL:
                 raise ArithmeticError(f"quadrature nodes on [{lo!r}, {hi!r}] hold mass {mass!r} where the "
                                       f"cdf gives {want!r} (shortfall {want - mass:.3g})")
-        return x, w
 
 
 def subjective_expectation(dist: ContinuousDistribution, p_star: float) -> float:

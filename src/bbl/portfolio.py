@@ -11,7 +11,8 @@ excess distribution with positive weights ``W``:
 * ``naive_alpha``         -- a fixed point: the share is the maximizer under the
   beliefs tilted at that share.  On each sign region, a bracketed root of the
   slope at ``a = alpha`` of utility under the beliefs frozen at ``alpha``,
-  confirmed against the gap ``argmax_a obj_alpha(a) - alpha``.
+  confirmed against the gap ``argmax_a obj_alpha(a) - alpha``.  A region's
+  gain and loss nodes are one split of the panel set at its belief cutoff.
 
 Such a sum is concave, so ``_best_share`` finds its maximum as the Brent root
 of the first-order condition, or the bound its slope points to.  Bounds are
@@ -78,8 +79,11 @@ class PortfolioSolution:
     the biased agents, ``(u^-1(value) - r_f) / alpha`` for the rational one.
     ``iterations`` counts evaluations of the first-order-condition slope for
     the rational and sophisticated agents (over both sign regions for the
-    latter), and evaluations of ``h``, the slope of the frozen-belief
-    objective at the share itself, for the naive agent.
+    latter), and the distinct shares at which the naive agent evaluated ``h``,
+    the slope of the frozen-belief objective at the share itself: the sampled
+    shares, batched or not, and Brent's iterates.  ``value`` is the agent's
+    objective at ``alpha``, term for term: for the naive agent under the beliefs
+    frozen at ``alpha``, as ``naive_fixed_objective`` computes it, converged or not.
     """
 
     alpha: float
@@ -120,18 +124,24 @@ def _feasible_bounds(asset: Asset, utility: ConsumptionUtility, bounds) -> tuple
     return lo_eff, hi_eff
 
 
-# A sign region's gain-then-loss nodes and weights, their products, the index
-# where the loss nodes start, and the masses of the gain and loss nodes.
-_Region = namedtuple("_Region", "x w wx k p_gain p_loss")
+# A sign region's gain-then-loss nodes, the index where the loss nodes start, the gain and
+# loss weights, their products with the nodes, and the masses of the gain and loss nodes.
+_Region = namedtuple("_Region", "x k w_gain w_loss wx_gain wx_loss p_gain p_loss")
+# The beliefs tilted at one share: the gain and loss factors, the target expectation, the
+# utility moments of the gain and loss nodes, and h, the frozen-belief slope at the share.
+_Tilt = namedtuple("_Tilt", "c_g c_l target m_g m_l h")
 
 
 class _AssetGrid:
-    """Quadrature nodes of the excess distribution, split at the belief cutoffs;
-    each cutoff and node set is built on first use."""
+    """Quadrature nodes of the excess distribution, split at the belief cutoffs, and the
+    naive agent's belief tilts under ``utility``; each is built on first use."""
 
-    def __init__(self, asset: Asset, prefs: Preferences | None = None):
+    def __init__(self, asset: Asset, prefs: Preferences | None = None,
+                 utility: ConsumptionUtility | None = None):
         self.asset = asset
+        self.utility = utility
         self._built: dict = {}
+        self._tilts: dict[float, _Tilt] = {}
         if prefs is not None:
             self.p_star = _interior_cutoff(prefs)
             self.overweight = prefs.lambda0 - 1.0
@@ -151,24 +161,31 @@ class _AssetGrid:
         p = 1.0 - self.p_star if alpha >= 0 else self.p_star
         return self._once(("cut", alpha >= 0), lambda: self.asset.excess.quantile(p))
 
-    def _beside_cut(self, alpha: float, below: bool):
-        lo, hi = self.asset.excess.support
-        ends = (lo, self.cut(alpha)) if below else (self.cut(alpha), hi)
-        return self._once((below, alpha >= 0), lambda: self.asset.excess.quad_nodes(*ends))
-
     def region(self, alpha: float) -> _Region:
+        """The naive agent's gain and loss nodes on the sign region of ``alpha``: one split
+        of the panel set at the cutoff."""
         def build():
-            (gx, gw), (lx, lw) = self._beside_cut(alpha, alpha < 0), self._beside_cut(alpha, alpha >= 0)
-            x, w = np.concatenate((gx, lx)), np.concatenate((gw, lw))
-            return _Region(x, w, w * x, gx.size, float(np.sum(gw)), float(np.sum(lw)))
+            below, above = self.asset.excess._split(self.cut(alpha))
+            (gx, gw), (lx, lw) = (below, above) if alpha < 0 else (above, below)
+            return _Region(np.concatenate((gx, lx)), gx.size, gw, lw, gw * gx, lw * lx,
+                           float(np.sum(gw)), float(np.sum(lw)))
 
         return self._once(("region", alpha >= 0), build)
+
+    def tilt(self, alpha: float) -> _Tilt:
+        """The tilt and ``h`` at the nonzero share ``alpha``, from one-share kernel calls,
+        each computed once."""
+        tilt = self._tilts.get(alpha)
+        if tilt is None:
+            tilt = self._tilts[alpha] = _tilt_kernel(self, alpha)
+        return tilt
 
     def overweighted(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         """The sophisticated agent's nodes and weights on the sign region of ``alpha``:
         the whole grid followed by the region's loss nodes, weighted ``lambda - 1``."""
         def build():
-            (x, w), (lx, lw) = self.nodes, self._beside_cut(alpha, below=alpha >= 0)
+            (x, w), (lo, hi), cut = self.nodes, self.asset.excess.support, self.cut(alpha)
+            lx, lw = self.asset.excess.quad_nodes(*((lo, cut) if alpha >= 0 else (cut, hi)))
             return np.concatenate((x, lx)), np.concatenate((w, self.overweight * lw))
 
         return self._once(("overweighted", alpha >= 0), build)
@@ -205,52 +222,58 @@ def sophisticated_objective(asset: Asset, prefs: Preferences,
     return lambda alpha: prefs.eta * _expected_utility(utility, asset.r_f, alpha, *grid.overweighted(alpha))
 
 
-def _belief_tilt(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):
-    """Gain/loss re-weighting factors of the density at the share ``alpha``.
+def _tilt_kernel(grid: _AssetGrid, shares):
+    """Belief tilt and ``h`` at nonzero ``shares`` of one sign region, in one pass over the
+    region's nodes: a float gives one ``_Tilt``, a 1-D array a list, one per row of one
+    wealth matrix.
 
-    The target subjective expectation is the utility payoff at the cutoff
-    quantile; the factors solve the mass and mean constraints on the two
-    regions.  Returns (region, wealth, utility at the region's nodes, c_gain,
-    c_loss, target), built once per share on ``grid``.
+    The target subjective expectation is the utility payoff at the cutoff quantile; the
+    factors solve the mass and mean constraints on the gain and loss regions; ``h`` is the
+    slope in ``a``, at ``a = alpha``, of expected utility under the beliefs tilted at
+    ``alpha``.  A row of a matrix product may round unlike the one-share product, so only
+    one-share tilts are memoised (``_AssetGrid.tilt``) and read for beliefs and values;
+    batched ones give signs and brackets.
     """
-    def build():
-        r_f, reg = grid.asset.r_f, grid.region(alpha)
-        target = utility.value(r_f + alpha * grid.cut(alpha))
-        wealth = r_f + alpha * reg.x
-        if utility.needs_positive_wealth and wealth.min() <= 0:
-            raise DomainError(f"wealth leaves the {utility.kind} utility domain at share {alpha}")
-        u, w, k = utility.value_array(wealth), reg.w, reg.k
-        factors = _tilt_factors(reg.p_gain, reg.p_loss, float(w[:k] @ u[:k]), float(w[k:] @ u[k:]), target)
-        c_g, c_l = (1.0, 1.0) if factors is None else factors
-        return reg, wealth, u, c_g, c_l, target
+    one = isinstance(shares, float)
+    alpha = shares if one else float(shares[0])
+    utility, r_f, reg, cut = grid.utility, grid.asset.r_f, grid.region(alpha), grid.cut(alpha)
+    wealth = r_f + (shares if one else shares[:, None]) * reg.x
+    if utility.needs_positive_wealth and wealth.min() <= 0:
+        bad = alpha if one else float(shares[np.argmin(wealth.min(axis=1))])
+        raise DomainError(f"wealth leaves the {utility.kind} utility domain at share {bad}")
+    u, m, k = utility.value_array(wealth), utility.marginal_array(wealth), reg.k
+    sums = (u[..., :k] @ reg.w_gain, u[..., k:] @ reg.w_loss, m[..., :k] @ reg.wx_gain, m[..., k:] @ reg.wx_loss)
+    if one:
+        return _tilt_row(reg, utility.value(r_f + alpha * cut), *map(float, sums))
+    return [_tilt_row(reg, utility.value(r_f + a * cut), *row)
+            for a, row in zip(shares.tolist(), zip(*(s.tolist() for s in sums)))]
 
-    return grid._once(("tilt", utility, alpha), build)
 
-
-def _frozen_slope(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float) -> float:
-    """Slope in ``a`` at ``a = alpha`` of the expected utility under the beliefs tilted at ``alpha``."""
-    reg, wealth, _, c_g, c_l, _ = _belief_tilt(grid, utility, alpha)
-    m, k = utility.marginal_array(wealth), reg.k
-    return c_g * float(reg.wx[:k] @ m[:k]) + c_l * float(reg.wx[k:] @ m[k:])
+def _tilt_row(reg: _Region, target: float, m_g: float, m_l: float, s_g: float, s_l: float) -> _Tilt:
+    """The tilt at one share from its target and its four sums over the gain and loss nodes:
+    the utility moments ``m`` and the untilted slopes ``s``."""
+    factors = _tilt_factors(reg.p_gain, reg.p_loss, m_g, m_l, target)
+    c_g, c_l = (1.0, 1.0) if factors is None else factors
+    return _Tilt(c_g, c_l, target, m_g, m_l, c_g * s_g + c_l * s_l)
 
 
 def naive_fixed_objective(asset: Asset, prefs: Preferences,
                           utility: ConsumptionUtility = ConsumptionUtility(),
                           alpha: float = 0.0):
     """Subjective expected utility with beliefs frozen at the tilt for ``alpha``."""
-    x, w = _naive_beliefs(_AssetGrid(asset, prefs), utility, _finite("alpha", alpha))
+    x, w = _naive_beliefs(_AssetGrid(asset, prefs, utility), _finite("alpha", alpha))
     return lambda a: _expected_utility(utility, asset.r_f, a, x, w)
 
 
-def _naive_beliefs(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):
+def _naive_beliefs(grid: _AssetGrid, alpha: float):
     """Nodes and subjective weights of the beliefs tilted at the share ``alpha``.
 
     At ``alpha = 0`` a constant payoff gives no reason to tilt: beliefs stay objective.
     """
     if alpha == 0.0:
         return grid.nodes
-    reg, _, _, c_g, c_l, _ = _belief_tilt(grid, utility, alpha)
-    return reg.x, np.concatenate((c_g * reg.w[:reg.k], c_l * reg.w[reg.k:]))
+    reg, tilt = grid.region(alpha), grid.tilt(alpha)
+    return reg.x, np.concatenate((tilt.c_g * reg.w_gain, tilt.c_l * reg.w_loss))
 
 
 def _slope(x: np.ndarray, w: np.ndarray, r_f: float, utility: ConsumptionUtility):
@@ -297,16 +320,13 @@ def _best_share_near(x: np.ndarray, w: np.ndarray, r_f: float, utility: Consumpt
     return slope(max(share - tol, lo)) >= 0 >= slope(min(share + tol, hi))
 
 
-def _total_utility_at(grid: _AssetGrid, prefs: Preferences,
-                      utility: ConsumptionUtility, alpha: float) -> float:
+def _total_utility_at(grid: _AssetGrid, prefs: Preferences, alpha: float) -> float:
     """Anticipatory plus gain-loss utility at the canonical beliefs for ``alpha``."""
-    r_f = grid.asset.r_f
     if alpha == 0.0:
-        return utility.value(r_f)
-    reg, _, u, _, _, target = _belief_tilt(grid, utility, alpha)
-    gain_term = float(reg.w[:reg.k] @ (u[:reg.k] - target))
-    loss_term = float(reg.w[reg.k:] @ (u[reg.k:] - target))
-    return target + prefs.eta * (gain_term + prefs.lambda0 * loss_term)
+        return grid.utility.value(grid.asset.r_f)
+    reg, t = grid.region(alpha), grid.tilt(alpha)
+    gain_term, loss_term = t.m_g - t.target * reg.p_gain, t.m_l - t.target * reg.p_loss
+    return t.target + prefs.eta * (gain_term + prefs.lambda0 * loss_term)
 
 
 def _sign_regions(lo: float, hi: float) -> list[tuple[float, float]]:
@@ -326,13 +346,14 @@ def _highest(candidates, tie: float):
 
 def _concave_solve(r_f: float, utility: ConsumptionUtility, regions, nodes, scale: float = 1.0):
     """Best share over ``regions``, in ascending order: on each region ``(lo, hi)`` the
-    ``_best_share`` of ``scale * sum W u(r_f + a x)`` over the nodes ``nodes(lo)``, the
-    regions compared by ``_highest``.  Returns (share, value, slope evaluations)."""
+    ``_best_share`` of ``scale * sum W u(r_f + a x)`` over the nodes ``nodes(lo)``, valued
+    over ``nodes(share)``, the regions compared by ``_highest``.  Returns (share, value,
+    slope evaluations)."""
     candidates, calls = [], 0
     for lo, hi in regions:
-        x, w = nodes(lo)
-        alpha, n = _best_share(x, w, r_f, utility, lo, hi)
-        candidates.append((alpha, scale * _expected_utility(utility, r_f, alpha, x, w)))
+        alpha, n = _best_share(*nodes(lo), r_f, utility, lo, hi)
+        # either region may reach 0, whose value reads the alpha >= 0 nodes
+        candidates.append((alpha, scale * _expected_utility(utility, r_f, alpha, *nodes(alpha))))
         calls += n
     return (*_highest(candidates, 1e-15), calls)
 
@@ -360,35 +381,37 @@ def naive_alpha(asset: Asset, prefs: Preferences,
     ``h(hi) >= 0``, and possibly 0.  ``h`` is continuous on each sign region of
     the share but may jump at 0, where the loss region switches sides, so each
     region is sampled on a few evenly spaced shares (an end at 0 moved just
-    inside the region) and every sign change is closed by Brent's method.  A
-    candidate ``c`` counts only where ``|gap|``, best response minus share, is
-    within ``_FIXED_POINT_TOL`` (a sign change that survives the collapse of its
+    inside the region), all in one pass of ``_tilt_kernel`` over one wealth
+    matrix, and every sign change is closed by Brent's method.  A candidate
+    ``c`` counts only where ``|gap|``, best response minus share, is within
+    ``_FIXED_POINT_TOL`` (a sign change that survives the collapse of its
     bracket is a jump); the frozen objective is concave, so that is read from
     the slope signs at the bounds and at ``c - tol`` and ``c + tol``, with no inner
     root-find.  Among the fixed points the one with the highest
     anticipatory-plus-gain-loss utility is returned (lowest share on ties).
-    Without one, the sampled share with the smallest ``|gap|`` (one inner
-    maximization per sample) is returned with ``converged=False``.  The belief
-    tilt at each share is computed once per solve.
+    Without one, the sampled share with the smallest ``|gap|`` is returned with
+    ``converged=False`` (``_least_gap``: an inner maximization only at samples
+    whose slope signs leave them in the running).  The batched samples only
+    decide signs and brackets; Brent's iterates, the candidates and the returned
+    share read one-share tilts, each computed once per solve, so ``value`` is
+    exactly ``naive_fixed_objective(..., alpha)(alpha)``.
     """
     lo, hi = _feasible_bounds(asset, utility, bounds)
-    grid = _AssetGrid(asset, prefs)
-    evaluated: list[float] = []  # shares at which h was evaluated
-
-    def gap(alpha: float) -> float:
-        x, w = _naive_beliefs(grid, utility, alpha)
-        return _best_share(x, w, asset.r_f, utility, lo, hi)[0] - alpha
+    grid = _AssetGrid(asset, prefs, utility)
+    evaluated: set[float] = set()  # shares at which h was evaluated
 
     def h(alpha: float) -> float:
-        evaluated.append(alpha)
-        return _frozen_slope(grid, utility, alpha)
+        evaluated.add(alpha)
+        return grid.tilt(alpha).h
 
     samples = [0.0] if lo <= 0.0 <= hi else []
     candidates = list(samples)
     for a, b in _sign_regions(lo, hi):
         offset = _ZERO_OFFSET * (b - a)
-        shares = np.linspace(a + offset if a == 0 else a, b - offset if b == 0 else b, _GAP_SAMPLES).tolist()
-        hs = [h(s) for s in shares]
+        shares = np.linspace(a + offset if a == 0 else a, b - offset if b == 0 else b, _GAP_SAMPLES)
+        hs = [tilt.h for tilt in _tilt_kernel(grid, shares)]  # one pass for the region's samples
+        shares = shares.tolist()
+        evaluated.update(shares)
         # at a bound that h points past the gap is 0: a candidate, and no end of a bracket
         hs = [0.0 if (s == lo and v <= 0) or (s == hi and v >= 0) else v for s, v in zip(shares, hs)]
         samples += shares
@@ -397,14 +420,30 @@ def naive_alpha(asset: Asset, prefs: Preferences,
                        for i in range(len(shares) - 1) if hs[i] * hs[i + 1] < 0]
 
     fixed = sorted(alpha for alpha in set(candidates)
-                   if _best_share_near(*_naive_beliefs(grid, utility, alpha), asset.r_f, utility, lo, hi,
+                   if _best_share_near(*_naive_beliefs(grid, alpha), asset.r_f, utility, lo, hi,
                                        alpha, _FIXED_POINT_TOL))
-    best = _highest([(alpha, _total_utility_at(grid, prefs, utility, alpha)) for alpha in fixed], 1e-12)
-    best_alpha = min(samples, key=lambda s: abs(gap(s))) if best is None else best[0]
-    x, w = _naive_beliefs(grid, utility, best_alpha)
+    best = _highest([(alpha, _total_utility_at(grid, prefs, alpha)) for alpha in fixed], 1e-12)
+    best_alpha = _least_gap(grid, samples, lo, hi) if best is None else best[0]
+    x, w = _naive_beliefs(grid, best_alpha)
     return PortfolioSolution(best_alpha, *_belief_finish(grid, utility, best_alpha),
                              _expected_utility(utility, asset.r_f, best_alpha, x, w),
                              converged=bool(fixed), iterations=len(evaluated))
+
+
+def _least_gap(grid: _AssetGrid, samples: list[float], lo: float, hi: float) -> float:
+    """``min(samples, key=|gap|)``, the gap being the best response on ``[lo, hi]`` under the
+    beliefs tilted at a sample minus the sample.  A sample whose best response, read from
+    slope signs, lies farther than the least ``|gap|`` so far plus 1e-9 (far above the 1e-12
+    of the inner root-find) cannot win, so it gets no inner maximization."""
+    r_f, utility, best = grid.asset.r_f, grid.utility, None
+    for s in samples:
+        x, w = _naive_beliefs(grid, s)
+        if best is not None and not _best_share_near(x, w, r_f, utility, lo, hi, s, best[1] + 1e-9):
+            continue
+        gap = abs(_best_share(x, w, r_f, utility, lo, hi)[0] - s)
+        if best is None or gap < best[1]:
+            best = (s, gap)
+    return best[0]
 
 
 def _belief_finish(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):

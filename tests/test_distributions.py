@@ -546,6 +546,31 @@ class TestPanelSet:
                     assert abs(w1 @ g(x1) + w2 @ g(x2) - w @ g(x)) <= 1e-14
 
     @pytest.mark.parametrize("dist", PANEL_DISTS, ids=PANEL_IDS)
+    def test_split_is_both_sub_intervals_from_one_renoded_panel(self, dist, monkeypatch):
+        import bbl.distributions as distributions
+
+        lo, hi = dist.support
+        edges = self.whole_edges(dist)
+        dist.quad_nodes()
+        panels = []
+        real = distributions._panel_nodes
+        monkeypatch.setattr(distributions, "_panel_nodes", lambda a, b: panels.append(a.size) or real(a, b))
+        # quantiles, an edge of the panel set, and the ends of the support
+        for cut in [dist.quantile(p) for p in (0.1, 0.3, 0.6, 0.9)] + [float(edges[edges.size // 2]), lo, hi]:
+            panels.clear()
+            below, above = dist._split(cut)
+            assert sum(panels) <= 2 and len(panels) <= 1
+            for got, want in zip((below, above), (dist.quad_nodes(lo, cut), dist.quad_nodes(cut, hi))):
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_split_checks_each_half_mass(self, monkeypatch):
+        dist = ContinuousDistribution.normal(0.05, 0.2)
+        cdf = ContinuousDistribution.cdf
+        monkeypatch.setattr(ContinuousDistribution, "cdf", lambda d, z: cdf(d, z) + (1e-9 if z == 0.1 else 0.0))
+        with pytest.raises(ArithmeticError, match="shortfall"):
+            dist._split(0.1)
+
+    @pytest.mark.parametrize("dist", PANEL_DISTS, ids=PANEL_IDS)
     def test_whole_set_is_read_only(self, dist):
         x, w = dist.quad_nodes()
         for a in (x, w, dist._panel_set().edges):

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 
@@ -28,7 +29,6 @@ from bbl.portfolio import (
     _best_share,
     _best_share_near,
     _feasible_bounds,
-    _frozen_slope,
     _naive_beliefs,
     _sign_regions,
     naive_fixed_objective,
@@ -170,21 +170,20 @@ class TestNaiveCorpus:
                 continue
             kinds.add((asset.excess.kind, utility.kind))
             objective = naive_fixed_objective(asset, prefs, utility, sol.alpha)
-            assert sol.value == objective(sol.alpha)
             grid_alpha, grid_value = grid_search_alpha(objective, self.BOUNDS)
             assert grid_value - sol.value <= 1e-9 * max(1.0, abs(sol.value))
             assert abs(grid_alpha - sol.alpha) <= spacing
         # every distribution kind and utility kind has converged cases
         assert len(kinds) == 9
 
-    def test_non_converged_share_is_evaluated(self, solved):
+    def test_every_share_is_evaluated_exactly(self, solved):
+        # converged or not, the value is the frozen objective at the share, term for term
         for asset, prefs, utility, sol in solved:
             lo, hi = self.BOUNDS
             assert lo <= sol.alpha <= hi
             assert sol.iterations > 0
-            if not sol.converged:
-                objective = naive_fixed_objective(asset, prefs, utility, sol.alpha)
-                assert sol.value == objective(sol.alpha)
+            assert sol.value == naive_fixed_objective(asset, prefs, utility, sol.alpha)(sol.alpha)
+        assert {sol.converged for *_, sol in solved} == {True, False}
 
     def test_converged_shares_are_inner_best_responses(self, solved):
         # the best response under the beliefs frozen at the share is the share
@@ -192,7 +191,7 @@ class TestNaiveCorpus:
             if not sol.converged:
                 continue
             lo, hi = _feasible_bounds(asset, utility, self.BOUNDS)
-            x, w = _naive_beliefs(_AssetGrid(asset, prefs), utility, sol.alpha)
+            x, w = _naive_beliefs(_AssetGrid(asset, prefs, utility), sol.alpha)
             best, _ = _best_share(x, w, asset.r_f, utility, lo, hi)
             if sol.alpha in (lo, hi):
                 assert best == sol.alpha
@@ -205,17 +204,19 @@ class TestNaiveCorpus:
             lo, hi = _feasible_bounds(asset, utility, self.BOUNDS)
             if not sol.converged or sol.alpha in (lo, 0.0, hi):
                 continue
-            grid = _AssetGrid(asset, prefs)
-            below, above = (_frozen_slope(grid, utility, sol.alpha + d) for d in (-1e-7, 1e-7))
+            grid = _AssetGrid(asset, prefs, utility)
+            below, above = (grid.tilt(sol.alpha + d).h for d in (-1e-7, 1e-7))
             assert below * above < 0
             roots += 1
         assert roots > 0
 
     def test_iterations_count_frozen_slope_evaluations(self, monkeypatch):
-        shares = []
-        slope = portfolio._frozen_slope
-        monkeypatch.setattr(portfolio, "_frozen_slope",
-                            lambda grid, utility, alpha: shares.append(alpha) or slope(grid, utility, alpha))
+        # the distinct shares passed to the kernel, batched or one at a time: a sample whose
+        # beliefs a value needs passes again, alone
+        shares = set()
+        kernel = portfolio._tilt_kernel
+        monkeypatch.setattr(portfolio, "_tilt_kernel", lambda grid, s: shares.update(
+            [s] if isinstance(s, float) else s.tolist()) or kernel(grid, s))
         for asset, prefs, utility in naive_corpus():
             shares.clear()
             sol = naive_alpha(asset, prefs, utility, self.BOUNDS)
@@ -268,10 +269,18 @@ class TestNaiveConfirmation:
                 continue
             kinds.add((asset.excess.kind, utility.kind))
             lo, hi = _feasible_bounds(asset, utility, self.BOUNDS)
-            x, w = _naive_beliefs(_AssetGrid(asset, prefs), utility, sol.alpha)
+            x, w = _naive_beliefs(_AssetGrid(asset, prefs, utility), sol.alpha)
             best, _ = _best_share(x, w, asset.r_f, utility, lo, hi)
             assert abs(best - sol.alpha) <= _FIXED_POINT_TOL
         assert len(kinds) == 9
+
+    def test_every_value_is_the_frozen_objective_at_the_share(self):
+        converged = set()
+        for asset, prefs, utility in eta_corpus():
+            sol = naive_alpha(asset, prefs, utility, self.BOUNDS)
+            converged.add(sol.converged)
+            assert sol.value == naive_fixed_objective(asset, prefs, utility, sol.alpha)(sol.alpha)
+        assert converged == {True, False}
 
     def test_slope_signs_agree_with_the_inner_maximization(self):
         # shares at multiples of tol / 4 around the best response, off the knife edges at exactly tol
@@ -279,9 +288,9 @@ class TestNaiveConfirmation:
         tol, checked = _FIXED_POINT_TOL, 0
         for asset, prefs, utility in eta_corpus()[::4]:
             lo, hi = _feasible_bounds(asset, utility, self.BOUNDS)
-            grid = _AssetGrid(asset, prefs)
+            grid = _AssetGrid(asset, prefs, utility)
             for frozen in rng.uniform(lo, hi, 2):
-                x, w = _naive_beliefs(grid, utility, float(frozen))
+                x, w = _naive_beliefs(grid, float(frozen))
                 best, _ = _best_share(x, w, asset.r_f, utility, lo, hi)
                 for k in (-6, -5, -3, -1, 0, 1, 3, 5, 6):
                     share = min(max(best + 0.25 * k * tol, lo), hi)
@@ -300,6 +309,85 @@ class TestNaiveConfirmation:
             assert sol.converged == (k < 4)
 
 
+class TestSampleKernel:
+    """Each sign region's samples are one kernel call on an array of shares; those batched
+    tilts only decide signs and Brent brackets, and values read one-share tilts."""
+
+    BOUNDS = (-10.0, 10.0)
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        calls = []
+        kernel = portfolio._tilt_kernel
+
+        def recorded(grid, shares):
+            tilts = kernel(grid, shares)
+            if not isinstance(shares, float):
+                calls.append((grid, shares.tolist(), tilts))
+            return tilts
+
+        monkeypatch.setattr(portfolio, "_tilt_kernel", recorded)
+        return calls
+
+    def test_one_kernel_call_per_sign_region(self, batches):
+        for asset, prefs, utility in naive_corpus():
+            batches.clear()
+            naive_alpha(asset, prefs, utility, self.BOUNDS)
+            regions = _sign_regions(*_feasible_bounds(asset, utility, self.BOUNDS))
+            assert [len(shares) for _, shares, _ in batches] == [7] * len(regions)
+
+    def test_batched_slopes_agree_with_one_share_slopes(self, batches):
+        # h's two tilted terms set its scale; near alpha = 0 the tilt's determinant vanishes
+        # like the share, which scales a rounding of the sums by 1 / |alpha|
+        for asset, prefs, utility in naive_corpus():
+            naive_alpha(asset, prefs, utility, self.BOUNDS)
+        checked = 0
+        for grid, shares, tilts in batches:
+            reg, utility = grid.region(shares[0]), grid.utility
+            for alpha, batched in zip(shares, tilts):
+                tilt = grid.tilt(alpha)  # one share at a time
+                m = utility.marginal_array(grid.asset.r_f + alpha * reg.x)
+                terms = (abs(tilt.c_g * float(reg.wx_gain @ m[:reg.k]))
+                         + abs(tilt.c_l * float(reg.wx_loss @ m[reg.k:])))
+                assert np.sign(batched.h) == np.sign(tilt.h)
+                assert abs(batched.h - tilt.h) <= 1e-12 * terms * max(1.0, 1.0 / abs(alpha))
+                checked += 1
+        assert checked == 7 * len(batches) > 0
+
+    def test_least_gap_share_is_the_brute_force_minimum(self, batches, power2):
+        readme = [(NORMAL_ASSET, Preferences(eta=eta, lambda0=2.25), power2) for eta in (0.70, 0.75, 0.80, 0.85)]
+        checked = 0
+        for asset, prefs, utility in naive_corpus() + readme:
+            batches.clear()
+            sol = naive_alpha(asset, prefs, utility, self.BOUNDS)
+            if sol.converged:
+                continue
+            lo, hi = _feasible_bounds(asset, utility, self.BOUNDS)
+            grid = _AssetGrid(asset, prefs, utility)
+            samples = ([0.0] if lo <= 0.0 <= hi else []) + [s for _, shares, _ in batches for s in shares]
+
+            def gap(share):
+                return abs(_best_share(*_naive_beliefs(grid, share), asset.r_f, utility, lo, hi)[0] - share)
+
+            assert sol.alpha == min(samples, key=gap)
+            checked += 1
+        assert checked > len(readme)
+
+    def test_value_array_calls_on_the_benchmark_inputs(self, monkeypatch, calibrated_asset, power2):
+        # the 16 naive solves of the portfolio-shares benchmark at seed 1: the calibrated
+        # asset on the eta grid jittered by the seed, the README asset on the grid itself
+        calls = []
+        value_array = ConsumptionUtility.value_array
+        monkeypatch.setattr(ConsumptionUtility, "value_array",
+                            lambda utility, z: calls.append(z) or value_array(utility, z))
+        rng, etas = random.Random(1), [0.5 + 0.05 * k for k in (0, 4, 2, 6, 1, 5, 3, 7)]
+        cases = ([(calibrated_asset, eta + 0.05 * rng.random()) for eta in etas]
+                 + [(NORMAL_ASSET, eta) for eta in etas])
+        for asset, eta in cases:
+            naive_alpha(asset, Preferences(eta=eta, lambda0=2.25), power2)
+        assert len(calls) <= 11 * len(cases)
+
+
 class TestPanelWork:
     """Solves slice the distribution's one panel set: a work count, free of timing noise."""
 
@@ -308,19 +396,25 @@ class TestPanelWork:
         import bbl.distributions as distributions
 
         queries, panels = [], []
-        real_nodes, real_query = distributions._panel_nodes, ContinuousDistribution.quad_nodes
+        real_nodes = distributions._panel_nodes
 
         def nodes(lo, hi):
             panels[-1] += lo.size
             return real_nodes(lo, hi)
 
-        def query(dist, *args):
-            queries.append(args)
-            panels.append(0)
-            return real_query(dist, *args)
+        def counted(name):
+            real = getattr(ContinuousDistribution, name)
+
+            def query(dist, *args):
+                queries.append((name, args))
+                panels.append(0)
+                return real(dist, *args)
+
+            monkeypatch.setattr(ContinuousDistribution, name, query)
 
         monkeypatch.setattr(distributions, "_panel_nodes", nodes)
-        monkeypatch.setattr(ContinuousDistribution, "quad_nodes", query)
+        counted("quad_nodes")
+        counted("_split")  # the naive agent's sign regions: one split of the panel set per cutoff
         return queries, panels
 
     @pytest.mark.parametrize("solve", ["rational", "sophisticated", "naive"])
@@ -334,8 +428,10 @@ class TestPanelWork:
          "sophisticated": lambda: sophisticated_alpha(asset, prefs, power2),
          "naive": lambda: naive_alpha(asset, prefs, power2)}[solve]()
         assert queries
-        for args, count in zip(queries, panels):
+        for (_, args), count in zip(queries, panels):
             assert count <= (2 if args else 0)
+        if solve == "naive":
+            assert sorted(name for name, _ in queries) == ["_split", "_split", "quad_nodes"]
 
     @pytest.mark.parametrize("excess", [ContinuousDistribution.normal(0.05, 0.2),
                                         ContinuousDistribution.mixture([(0.8, 0.06, 0.15), (0.2, -0.2, 0.05)])],
@@ -382,15 +478,21 @@ class TestConcaveCorpus:
         spacing = (self.BOUNDS[1] - self.BOUNDS[0]) / 2000
         for asset, prefs, utility, sol, objective in solved:
             scale = max(1.0, abs(sol.value))
-            if sol.alpha != 0:
-                # the solver's value is its own objective, term for term
-                assert objective(sol.alpha) == sol.value
-            else:
-                # at the kink the objective reads the alpha >= 0 side, the solver either side
-                assert abs(objective(sol.alpha) - sol.value) <= 1e-12 * scale
+            # the solver's value is its own objective, term for term; at the kink alpha = 0
+            # both read the alpha >= 0 node set, whichever sign region reached it
+            assert objective(sol.alpha) == sol.value
             grid_alpha, grid_value = grid_search_alpha(objective, self.BOUNDS)
             assert grid_value - sol.value <= 1e-9 * scale
             assert abs(grid_alpha - sol.alpha) <= spacing
+
+    def test_zero_share_value_is_the_objective_at_zero(self):
+        zeros = 0
+        for asset, prefs, utility in eta_corpus():
+            sol = sophisticated_alpha(asset, prefs, utility, self.BOUNDS)
+            if sol.alpha == 0.0:
+                assert sol.value == sophisticated_objective(asset, prefs, utility)(0.0)
+                zeros += 1
+        assert zeros > 0
 
     def test_first_order_condition(self, solved):
         kinds = set()
