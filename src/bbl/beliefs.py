@@ -249,8 +249,6 @@ def canonical_beliefs(lottery: DiscreteLottery, target_expectation: float) -> tu
     if t < lo - 1e-9 or t > hi + 1e-9:
         raise ValueError(f"target expectation {t} outside the utility range [{lo}, {hi}]")
     t = min(max(t, lo), hi)
-    if lottery.size == 1:
-        return (1.0,)
     if t == hi:
         return tuple(0.0 if i < lottery.size - 1 else 1.0 for i in range(lottery.size))
     if t == lo:

@@ -24,11 +24,10 @@ support, Newton constants and per-component constants once, at construction.
 Gauss-Legendre panel quadrature (``quad_nodes``, the array density's caller)
 serves only the portfolio solvers and the cross-check against the closed forms:
 one read-only panel set over the whole support, built on first use (a tabulated
-density's cells, or equal panels over each component's envelope, merged), which
-a sub-interval slices, with fresh nodes only on the at most two panels its ends
-clip; a cutoff splits it into both halves at one index, with fresh nodes only
-on the one panel that holds the cut.  Every node set's mass is checked against
-the cdf.
+density's cells, or equal panels over each component's envelope, merged).  It is
+read whole, or cut in two at a belief cutoff by ``_split``, which slices both
+halves at one index, with fresh nodes only on the one panel that holds the cut.
+Every node set's mass is checked against the cdf.
 """
 
 from __future__ import annotations
@@ -420,39 +419,22 @@ class ContinuousDistribution:
             object.__setattr__(self, "_panels", _PanelSet(edges, x, w))
         return self._panels
 
-    def quad_nodes(self, lo: float | None = None, hi: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes ``x`` and weights ``w`` with the density folded in, so that
-        ``integral of f(z) g(z) over [lo, hi]`` is approximated by ``w @ g(x)``.
-
-        The whole support's panels that lie inside ``[lo, hi]`` are slices of one
-        read-only set (``_panel_set``); only the at most two panels that ``lo`` and
-        ``hi`` clip get fresh nodes.  ArithmeticError when the weights of a normal or
-        mixture miss the mass ``cdf(hi) - cdf(lo)`` by more than ``_NODE_MASS_TOL`` (a
-        component too narrow to resolve); tabulated nodes are exact on every cell.
+    def quad_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes ``x`` and weights ``w`` with the density folded in, so that the integral of
+        ``f(z) g(z)`` over the support is approximated by ``w @ g(x)``: the read-only panel
+        set (``_panel_set``) as it is.  ArithmeticError when the weights of a normal or
+        mixture miss the mass of the support by more than ``_NODE_MASS_TOL`` (a component
+        too narrow to resolve); tabulated nodes are exact on every cell.
         """
-        s_lo, s_hi = self.support
-        lo = s_lo if lo is None else max(lo, s_lo)
-        hi = s_hi if hi is None else min(hi, s_hi)
-        if hi <= lo:
-            return np.empty(0), np.empty(0)
-        edges, x, w = self._panel_set()
-        i = int(np.searchsorted(edges, lo))  # first edge at or above lo
-        j = int(np.searchsorted(edges, hi, "right")) - 1  # last edge at or below hi; j < i inside one panel
-        x, w = x[_GL_ORDER * i:_GL_ORDER * j], w[_GL_ORDER * i:_GL_ORDER * j]
-        head = [(lo, min(edges[i], hi))] if lo < edges[i] else []
-        tail = [(edges[j], hi)] if i <= j and edges[j] < hi else []
-        if head or tail:
-            ex, ew = _panel_nodes(*np.array(head + tail).T)
-            ew *= self.pdf(ex)
-            k = _GL_ORDER * len(head)
-            x, w = np.concatenate((ex[:k], x, ex[k:])), np.concatenate((ew[:k], w, ew[k:]))
-        self._check_mass(lo, hi, w)
+        _, x, w = self._panel_set()
+        self._check_mass(*self.support, w)
         return x, w
 
     def _split(self, cut: float) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """``(quad_nodes(lo, cut), quad_nodes(cut, hi))`` on the support ``[lo, hi]``: both
-        halves slice the panel set at one index, and only the panel that holds ``cut`` gets
-        fresh nodes, on each side of it; each half's mass is checked as in ``quad_nodes``."""
+        """The nodes and weights of ``[lo, cut]`` and of ``[cut, hi]`` on the support
+        ``[lo, hi]``, as ``quad_nodes`` gives the whole: both halves slice the panel set at one
+        index, and only the panel that holds ``cut`` gets fresh nodes, on each side of it;
+        each half's mass is checked as in ``quad_nodes``."""
         s_lo, s_hi = self.support
         cut = min(max(cut, s_lo), s_hi)
         edges, x, w = self._panel_set()

@@ -6,13 +6,16 @@ excess distribution with positive weights ``W``:
 
 * ``rational_alpha``      -- the objective grid;
 * ``sophisticated_alpha`` -- on each sign region of the share, ``eta`` times the
-  sum over the objective grid followed by the region's loss nodes (beyond the
-  belief cutoff) weighted by ``lambda - 1``;
+  sum over the region's nodes with the loss nodes (beyond the belief cutoff)
+  weighted by ``lambda``;
 * ``naive_alpha``         -- a fixed point: the share is the maximizer under the
   beliefs tilted at that share.  On each sign region, a bracketed root of the
   slope at ``a = alpha`` of utility under the beliefs frozen at ``alpha``,
-  confirmed against the gap ``argmax_a obj_alpha(a) - alpha``.  A region's
-  gain and loss nodes are one split of the panel set at its belief cutoff.
+  confirmed against the gap ``argmax_a obj_alpha(a) - alpha``.
+
+Both biased agents read one node set per sign region: one split of the panel set
+at its belief cutoff, whose gain and loss weights each agent scales by its own
+pair of factors (``_AssetGrid.weighted``).
 
 Such a sum is concave, so ``_best_share`` finds its maximum as the Brent root
 of the first-order condition, or the bound its slope points to.  Bounds are
@@ -113,10 +116,10 @@ def _feasible_bounds(asset: Asset, utility: ConsumptionUtility, bounds) -> tuple
             upper = min(upper, asset.r_f / (-z))
         elif asset.r_f <= 0:
             lower, upper = math.inf, -math.inf
-    margin = 1e-10 * max(1.0, abs(lower) if math.isfinite(lower) else 0.0,
-                         abs(upper) if math.isfinite(upper) else 0.0)
-    lo_eff = max(lo_b, lower + margin)
-    hi_eff = min(hi_b, upper - margin)
+    # each finite bound moves in by 1e-10 of its size (1e-10 at zero), so a share on it
+    # scales inversely with the excess return
+    lo_eff = max(lo_b, lower + 1e-10 * (abs(lower) or 1.0) if math.isfinite(lower) else lower)
+    hi_eff = min(hi_b, upper - 1e-10 * (abs(upper) or 1.0) if math.isfinite(upper) else upper)
     if lo_eff > hi_eff:
         raise DomainError(
             f"no risky share in {bounds} keeps wealth inside the domain of {utility.kind} utility"
@@ -144,7 +147,6 @@ class _AssetGrid:
         self._tilts: dict[float, _Tilt] = {}
         if prefs is not None:
             self.p_star = _interior_cutoff(prefs)
-            self.overweight = prefs.lambda0 - 1.0
 
     def _once(self, key, build):
         if key not in self._built:
@@ -162,13 +164,13 @@ class _AssetGrid:
         return self._once(("cut", alpha >= 0), lambda: self.asset.excess.quantile(p))
 
     def region(self, alpha: float) -> _Region:
-        """The naive agent's gain and loss nodes on the sign region of ``alpha``: one split
-        of the panel set at the cutoff."""
+        """The gain and loss nodes on the sign region of ``alpha``: one split of the panel
+        set at the cutoff."""
         def build():
             below, above = self.asset.excess._split(self.cut(alpha))
             (gx, gw), (lx, lw) = (below, above) if alpha < 0 else (above, below)
             return _Region(np.concatenate((gx, lx)), gx.size, gw, lw, gw * gx, lw * lx,
-                           float(np.sum(gw)), float(np.sum(lw)))
+                           float(gw.sum()), float(lw.sum()))
 
         return self._once(("region", alpha >= 0), build)
 
@@ -180,15 +182,11 @@ class _AssetGrid:
             tilt = self._tilts[alpha] = _tilt_kernel(self, alpha)
         return tilt
 
-    def overweighted(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """The sophisticated agent's nodes and weights on the sign region of ``alpha``:
-        the whole grid followed by the region's loss nodes, weighted ``lambda - 1``."""
-        def build():
-            (x, w), (lo, hi), cut = self.nodes, self.asset.excess.support, self.cut(alpha)
-            lx, lw = self.asset.excess.quad_nodes(*((lo, cut) if alpha >= 0 else (cut, hi)))
-            return np.concatenate((x, lx)), np.concatenate((w, self.overweight * lw))
-
-        return self._once(("overweighted", alpha >= 0), build)
+    def weighted(self, alpha: float, c_g: float, c_l: float) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes of the sign region of ``alpha``, with its gain weights scaled by ``c_g``
+        and its loss weights by ``c_l``."""
+        reg = self.region(alpha)
+        return reg.x, np.concatenate((c_g * reg.w_gain, c_l * reg.w_loss))
 
 
 def _expected_utility(utility: ConsumptionUtility, r_f: float, a: float, x: np.ndarray,
@@ -214,12 +212,19 @@ def rational_objective(asset: Asset, utility: ConsumptionUtility = ConsumptionUt
     return objective
 
 
+def _overweighted(grid: _AssetGrid, lambda0: float):
+    """The sophisticated agent's nodes and weights on the sign region of a share: its loss
+    weights times ``lambda``, built once per sign."""
+    return lambda alpha: grid._once(("overweighted", alpha >= 0), lambda: grid.weighted(alpha, 1.0, lambda0))
+
+
 def sophisticated_objective(asset: Asset, prefs: Preferences,
                             utility: ConsumptionUtility = ConsumptionUtility()):
-    """Loss-overweighted expected utility as a callable of the risky share, over the node set
-    ``sophisticated_alpha`` maximizes on the share's sign region; ``-inf`` off the domain."""
-    grid = _AssetGrid(asset, prefs)
-    return lambda alpha: prefs.eta * _expected_utility(utility, asset.r_f, alpha, *grid.overweighted(alpha))
+    """Loss-overweighted expected utility as a callable of the risky share: ``eta`` times
+    ``sum W u(r_f + alpha x)`` over the nodes of the share's sign region, loss weights
+    times ``lambda``, as ``sophisticated_alpha`` maximizes it; ``-inf`` off the domain."""
+    nodes = _overweighted(_AssetGrid(asset, prefs), prefs.lambda0)
+    return lambda alpha: prefs.eta * _expected_utility(utility, asset.r_f, alpha, *nodes(alpha))
 
 
 def _tilt_kernel(grid: _AssetGrid, shares):
@@ -272,8 +277,8 @@ def _naive_beliefs(grid: _AssetGrid, alpha: float):
     """
     if alpha == 0.0:
         return grid.nodes
-    reg, tilt = grid.region(alpha), grid.tilt(alpha)
-    return reg.x, np.concatenate((tilt.c_g * reg.w_gain, tilt.c_l * reg.w_loss))
+    tilt = grid.tilt(alpha)
+    return grid.weighted(alpha, tilt.c_g, tilt.c_l)
 
 
 def _slope(x: np.ndarray, w: np.ndarray, r_f: float, utility: ConsumptionUtility):
@@ -463,14 +468,15 @@ def sophisticated_alpha(asset: Asset, prefs: Preferences,
     """Share maximizing the loss-overweighted objective, per sign region.
 
     On a sign region ``sophisticated_objective`` is ``eta`` times ``sum W u(r_f + a x)``
-    over the objective grid followed by the region's loss nodes, weighted by
-    ``lambda - 1``; it is concave there, so each region's maximum is one
+    over the region's gain nodes at their objective weights and its loss nodes at
+    ``lambda`` times theirs, which is the objective grid plus the loss nodes
+    weighted ``lambda - 1``; it is concave there, so each region's maximum is one
     ``_best_share``.  The regions are compared by value (lowest share on ties).
     """
     lo, hi = _feasible_bounds(asset, utility, bounds)
     grid = _AssetGrid(asset, prefs)
     alpha, value, iters = _concave_solve(asset.r_f, utility, _sign_regions(lo, hi) or [(lo, hi)],
-                                         grid.overweighted, prefs.eta)
+                                         _overweighted(grid, prefs.lambda0), prefs.eta)
     return PortfolioSolution(alpha, *_belief_finish(grid, utility, alpha), value,
                              converged=True, iterations=iters)
 

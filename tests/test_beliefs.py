@@ -282,6 +282,17 @@ class TestCanonicalBeliefs:
             else:
                 assert qs <= ps
 
+    @pytest.mark.parametrize("utility", [ConsumptionUtility(), ConsumptionUtility("log")], ids=["linear", "log"])
+    def test_one_state_takes_all_mass(self, utility):
+        # the target is clamped to the one utility, which is the top of the range
+        lot = DiscreteLottery((1.5,), (1.0,), utility)
+        u = lot.utilities[0]
+        for target in (u, u - 1e-9, u + 1e-9):
+            assert canonical_beliefs(lot, target) == (1.0,)
+        for target in (u - 1e-8, u + 1e-8):
+            with pytest.raises(ValueError, match="outside the utility range"):
+                canonical_beliefs(lot, target)
+
     def test_out_of_range_rejected(self):
         lot = DiscreteLottery((0.0, 1.0), (0.5, 0.5))
         with pytest.raises(ValueError):

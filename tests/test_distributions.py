@@ -157,7 +157,7 @@ class TestPartialExpectation:
         for dist in (N01, N11, N02, SKEWED):
             lo, hi = dist.support
             for a in np.linspace(lo, hi, 50):
-                x, w = dist.quad_nodes(lo, float(a))
+                x, w = dist._split(float(a))[0]
                 assert float(w @ x) == pytest.approx(partial_expectation_closed_form(dist, float(a)), abs=1e-8)
 
     def test_closed_form_requires_normal_family(self):
@@ -457,11 +457,10 @@ class TestNodeMass:
             sds = [wide] + [wide / 10.0 ** float(rng.uniform(0.0, 5.0)) for _ in range(k - 1)]
             dist = ContinuousDistribution.mixture([(w[i], float(rng.uniform(-5.0, 5.0)), sds[i]) for i in range(k)])
             lo, hi = dist.support
-            cuts = [(lo, hi)] + [tuple(sorted(rng.uniform(lo, hi, 2).tolist())) for _ in range(3)]
-            cuts += [(lo, c.mean) for c in dist.components]
-            for a, b in cuts:
-                x, weights = dist.quad_nodes(a, b)
-                worst = max(worst, abs(math.fsum(weights) - self.mass(dist, a, b)))
+            worst = max(worst, abs(math.fsum(dist.quad_nodes()[1]) - self.mass(dist, lo, hi)))
+            for cut in rng.uniform(lo, hi, 6).tolist() + [c.mean for c in dist.components]:
+                for (a, b), (_, weights) in zip(((lo, cut), (cut, hi)), dist._split(cut)):
+                    worst = max(worst, abs(math.fsum(weights) - self.mass(dist, a, b)))
         assert worst <= _NODE_MASS_TOL
 
     def test_unresolvable_component_raises(self):
@@ -479,9 +478,9 @@ PANEL_IDS = ["N01", "N02", "readme", "skewed", "narrow-mixture", "tabulated"]
 
 
 class TestPanelSet:
-    """One Gauss-Legendre panel set per distribution: ``quad_nodes`` returns the whole
-    set's panels inside the query as they are, with fresh nodes on the at most two
-    panels that the query's ends clip."""
+    """One Gauss-Legendre panel set per distribution: ``quad_nodes`` returns it whole, and
+    ``_split`` cuts it in two at one index, with fresh nodes on the one panel that holds
+    the cut."""
 
     @staticmethod
     def whole_edges(dist):
@@ -497,71 +496,56 @@ class TestPanelSet:
         return x, w * dist.pdf(x)
 
     @staticmethod
-    def queries(dist, edges, rng):
+    def cuts(dist, edges, rng):
+        """Quantiles, edges of the panel set, points inside one panel, the ends of the
+        support and random points."""
         lo, hi = dist.support
         inner = edges[(edges > lo) & (edges < hi)]
         k = int(rng.integers(1, inner.size - 1))
         mid = 0.5 * (edges[k] + edges[k + 1])
-        cut = dist.quantile(0.3)
-        return ([(lo, hi), (lo, cut), (cut, hi), (edges[k], edges[k + 2]), (mid, edges[k + 1]),
-                 (edges[k], mid), (mid, 0.5 * (mid + edges[k + 1])), (mid, min(edges[k + 3] + 1e-3 * (hi - lo), hi))]
-                + [tuple(sorted(rng.uniform(lo, hi, 2).tolist())) for _ in range(6)])
+        return ([dist.quantile(p) for p in (0.1, 0.3, 0.6, 0.9)]
+                + [float(edges[edges.size // 2]), float(edges[k]), mid, 0.5 * (mid + edges[k + 1]), lo, hi]
+                + rng.uniform(lo, hi, 6).tolist())
 
     @pytest.mark.parametrize("dist", PANEL_DISTS, ids=PANEL_IDS)
-    def test_sub_intervals_are_whole_panels_plus_clipped_ends(self, dist):
+    def test_split_halves_are_whole_panels_plus_the_cut_panel(self, dist, monkeypatch):
+        import bbl.distributions as distributions
+
         edges = self.whole_edges(dist)
         x_all, w_all = _panel_nodes(edges[:-1], edges[1:])
         w_all = w_all * dist.pdf(x_all)
         x, w = dist.quad_nodes()
         assert np.array_equal(x, x_all) and np.array_equal(w, w_all)
         n = x_all.size // (edges.size - 1)
-        for a, b in self.queries(dist, edges, np.random.default_rng(17)):
-            # the query's panels: whole panels between the first and last edge inside [a, b], clipped ones outside
-            inside = np.flatnonzero((edges >= a) & (edges <= b))
-            pieces = []
-            if inside.size == 0:
-                pieces.append(self.panel(dist, a, b))
-            else:
-                i, j = inside[0], inside[-1]
-                if a < edges[i]:
-                    pieces.append(self.panel(dist, a, edges[i]))
-                pieces.append((x_all[n * i:n * j], w_all[n * i:n * j]))
-                if edges[j] < b:
-                    pieces.append(self.panel(dist, edges[j], b))
-            x, w = dist.quad_nodes(a, b)
-            assert np.array_equal(x, np.concatenate([p[0] for p in pieces]))
-            assert np.array_equal(w, np.concatenate([p[1] for p in pieces]))
-            assert x.size <= x_all.size + 2 * n
-
-    @pytest.mark.parametrize("dist", PANEL_DISTS, ids=PANEL_IDS)
-    def test_split_interval_integrates_like_the_whole(self, dist):
-        rng = np.random.default_rng(18)
-        edges = self.whole_edges(dist)
-        for a, b in self.queries(dist, edges, rng):
-            x, w = dist.quad_nodes(a, b)
-            # three points anywhere in (a, b), and the first whole-set edge inside it
-            for c in rng.uniform(a, b, 3).tolist() + edges[(edges > a) & (edges < b)][:1].tolist():
-                (x1, w1), (x2, w2) = dist.quad_nodes(a, c), dist.quad_nodes(c, b)
-                for g in (np.ones_like, lambda z: z, lambda z: z * z):
-                    assert abs(w1 @ g(x1) + w2 @ g(x2) - w @ g(x)) <= 1e-14
-
-    @pytest.mark.parametrize("dist", PANEL_DISTS, ids=PANEL_IDS)
-    def test_split_is_both_sub_intervals_from_one_renoded_panel(self, dist, monkeypatch):
-        import bbl.distributions as distributions
-
-        lo, hi = dist.support
-        edges = self.whole_edges(dist)
-        dist.quad_nodes()
         panels = []
         real = distributions._panel_nodes
         monkeypatch.setattr(distributions, "_panel_nodes", lambda a, b: panels.append(a.size) or real(a, b))
-        # quantiles, an edge of the panel set, and the ends of the support
-        for cut in [dist.quantile(p) for p in (0.1, 0.3, 0.6, 0.9)] + [float(edges[edges.size // 2]), lo, hi]:
+        for cut in self.cuts(dist, edges, np.random.default_rng(17)):
+            # whole panels up to the last edge at or below the cut, the cut panel's two
+            # pieces when the cut is inside it, and whole panels after it
+            i = np.flatnonzero(edges <= cut)[-1]
+            below, above = [(x_all[:n * i], w_all[:n * i])], [(x_all[n * (i + 1):], w_all[n * (i + 1):])]
+            if edges[i] < cut:
+                below.append(self.panel(dist, edges[i], cut))
+                above.insert(0, self.panel(dist, cut, edges[i + 1]))
+            else:
+                above.insert(0, (x_all[n * i:n * (i + 1)], w_all[n * i:n * (i + 1)]))
             panels.clear()
-            below, above = dist._split(cut)
+            got = dist._split(cut)
             assert sum(panels) <= 2 and len(panels) <= 1
-            for got, want in zip((below, above), (dist.quad_nodes(lo, cut), dist.quad_nodes(cut, hi))):
-                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            for (gx, gw), pieces in zip(got, (below, above)):
+                assert np.array_equal(gx, np.concatenate([p[0] for p in pieces]))
+                assert np.array_equal(gw, np.concatenate([p[1] for p in pieces]))
+            assert got[0][0].size + got[1][0].size <= x_all.size + n
+
+    @pytest.mark.parametrize("dist", PANEL_DISTS, ids=PANEL_IDS)
+    def test_split_halves_integrate_like_the_whole(self, dist):
+        rng = np.random.default_rng(18)
+        x, w = dist.quad_nodes()
+        for cut in self.cuts(dist, self.whole_edges(dist), rng):
+            (x1, w1), (x2, w2) = dist._split(cut)
+            for g in (np.ones_like, lambda z: z, lambda z: z * z):
+                assert abs(w1 @ g(x1) + w2 @ g(x2) - w @ g(x)) <= 1e-14
 
     def test_split_checks_each_half_mass(self, monkeypatch):
         dist = ContinuousDistribution.normal(0.05, 0.2)
@@ -598,10 +582,9 @@ class TestPanelSet:
             whole = dist.quad_nodes()
             assert len(panels) == 1
             assert np.array_equal(dist.quad_nodes()[0], whole[0]) and len(panels) == 1
-            lo, hi = dist.support
-            for a, b in ((lo, dist.quantile(0.4)), (dist.quantile(0.2), dist.quantile(0.7))):
+            for cut in (dist.quantile(0.4), dist.quantile(0.7)):
                 panels.clear()
-                dist.quad_nodes(a, b)
+                dist._split(cut)
                 assert sum(panels) <= 2 and len(panels) <= 1
 
 
