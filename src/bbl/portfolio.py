@@ -10,8 +10,10 @@ excess distribution with positive weights ``W``:
   weighted by ``lambda``;
 * ``naive_alpha``         -- a fixed point: the share is the maximizer under the
   beliefs tilted at that share.  On each sign region, a bracketed root of the
-  slope at ``a = alpha`` of utility under the beliefs frozen at ``alpha``,
-  confirmed against the gap ``argmax_a obj_alpha(a) - alpha``.
+  slope at ``a = alpha`` of utility under the beliefs frozen at ``alpha``, or a
+  bound that slope points past.  A region ending at 0 whose belief cutoff has
+  the sign opposite to its shares holds none, and is not searched.  Where no
+  region holds one and 0 is not a fixed point either, the agent does not trade.
 
 Both biased agents read one node set per sign region: one split of the panel set
 at its belief cutoff, whose gain and loss weights each agent scales by its own
@@ -51,9 +53,7 @@ __all__ = [
 
 DEFAULT_BOUNDS = (-10.0, 10.0)
 
-_FIXED_POINT_TOL = 1e-8
 _GAP_SAMPLES = 7  # evenly spaced shares per sign region at which the naive solver samples h
-_ZERO_OFFSET = 1e-6  # a sign region's sample next to alpha = 0, as a fraction of its width
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,14 @@ class PortfolioSolution:
     the biased agents, ``(u^-1(value) - r_f) / alpha`` for the rational one.
     ``iterations`` counts evaluations of the first-order-condition slope for
     the rational and sophisticated agents (over both sign regions for the
-    latter), and the distinct shares at which the naive agent evaluated ``h``,
-    the slope of the frozen-belief objective at the share itself: the sampled
-    shares, batched or not, and Brent's iterates.  ``value`` is the agent's
-    objective at ``alpha``, term for term: for the naive agent under the beliefs
-    frozen at ``alpha``, as ``naive_fixed_objective`` computes it, converged or not.
+    latter), and the distinct nonzero shares at which the naive agent evaluated
+    ``h``, the slope of the frozen-belief objective at the share itself: the
+    sampled shares, batched or not, and Brent's iterates; 0 where no sign region
+    is searched.  ``value`` is the agent's objective at ``alpha``, term for term:
+    for the naive agent under the beliefs frozen at ``alpha``, as
+    ``naive_fixed_objective`` computes it.  ``converged=False`` is the naive
+    agent's no-trade verdict: no fixed point but the generalised one at
+    ``alpha = 0``, where ``value`` reads the objective beliefs.
     """
 
     alpha: float
@@ -281,12 +284,6 @@ def _naive_beliefs(grid: _AssetGrid, alpha: float):
     return grid.weighted(alpha, tilt.c_g, tilt.c_l)
 
 
-def _slope(x: np.ndarray, w: np.ndarray, r_f: float, utility: ConsumptionUtility):
-    """The slope ``a -> sum w x u'(r_f + a x)`` of ``sum w u(r_f + a x)``."""
-    wx = w * x
-    return lambda a: float(wx @ utility.marginal_array(r_f + a * x))
-
-
 def _best_share(x: np.ndarray, w: np.ndarray, r_f: float, utility: ConsumptionUtility,
                 lo: float, hi: float) -> tuple[float, int]:
     """Share in [lo, hi] maximizing ``sum w u(r_f + a x)`` for positive weights ``w``.
@@ -296,12 +293,12 @@ def _best_share(x: np.ndarray, w: np.ndarray, r_f: float, utility: ConsumptionUt
     when it has one sign on the whole interval.  Returns (share, slope
     evaluations).
     """
-    calls, slope_at = 0, _slope(x, w, r_f, utility)
+    calls, wx = 0, w * x
 
     def slope(a: float) -> float:
         nonlocal calls
         calls += 1
-        return slope_at(a)
+        return float(wx @ utility.marginal_array(r_f + a * x))
 
     s_lo, s_hi = slope(lo), slope(hi)
     if s_lo <= 0:
@@ -309,20 +306,6 @@ def _best_share(x: np.ndarray, w: np.ndarray, r_f: float, utility: ConsumptionUt
     if s_hi >= 0:
         return hi, calls
     return _brent_root(slope, lo, s_lo, hi, s_hi)[0], calls
-
-
-def _best_share_near(x: np.ndarray, w: np.ndarray, r_f: float, utility: ConsumptionUtility,
-                     lo: float, hi: float, share: float, tol: float) -> bool:
-    """Whether ``_best_share(x, w, r_f, utility, lo, hi)`` lies within ``tol`` of ``share``,
-    by its rule but from at most four slope signs: the slope falls in the share, so an
-    interior best share is that near where the slope changes sign from ``share - tol``
-    to ``share + tol`` (each clipped to the bounds)."""
-    slope = _slope(x, w, r_f, utility)
-    if slope(lo) <= 0:
-        return abs(lo - share) <= tol
-    if slope(hi) >= 0:
-        return abs(hi - share) <= tol
-    return slope(max(share - tol, lo)) >= 0 >= slope(min(share + tol, hi))
 
 
 def _total_utility_at(grid: _AssetGrid, prefs: Preferences, alpha: float) -> float:
@@ -374,6 +357,23 @@ def rational_alpha(asset: Asset, utility: ConsumptionUtility = ConsumptionUtilit
                              value=value, converged=True, iterations=iters)
 
 
+def _sampled_slopes(grid: _AssetGrid, a: float, b: float):
+    """``h`` at ``_GAP_SAMPLES`` evenly spaced shares of the sign region ``[a, b]``, the
+    nonzero ones in one ``_tilt_kernel`` pass; an end at 0 reads the limit
+    ``h(0±) = u'(r_f) cut``.  None where that limit points into 0: concavity under the
+    beliefs tilted at ``alpha`` gives ``alpha h(alpha) <= u(r_f + alpha cut) - u(r_f)``, so
+    ``h`` keeps that sign over the whole region, which then holds no fixed point."""
+    shares = np.linspace(a, b, _GAP_SAMPLES)
+    if 0.0 not in (a, b):
+        return shares.tolist(), [tilt.h for tilt in _tilt_kernel(grid, shares)]
+    end = a + b  # the region's nonzero end
+    limit = float(grid.utility.marginal_array(np.array(grid.asset.r_f))) * grid.cut(end)
+    if limit * end <= 0:
+        return None
+    hs = [tilt.h for tilt in _tilt_kernel(grid, shares[1:] if a == 0 else shares[:-1])]
+    return shares.tolist(), [limit, *hs] if a == 0 else [*hs, limit]
+
+
 def naive_alpha(asset: Asset, prefs: Preferences,
                 utility: ConsumptionUtility = ConsumptionUtility(),
                 bounds=DEFAULT_BOUNDS) -> PortfolioSolution:
@@ -384,22 +384,21 @@ def naive_alpha(asset: Asset, prefs: Preferences,
     at ``alpha``, ``h(alpha)``, is positive: the fixed points are the roots of
     ``h``, the bound ``lo`` where ``h(lo) <= 0``, the bound ``hi`` where
     ``h(hi) >= 0``, and possibly 0.  ``h`` is continuous on each sign region of
-    the share but may jump at 0, where the loss region switches sides, so each
-    region is sampled on a few evenly spaced shares (an end at 0 moved just
-    inside the region), all in one pass of ``_tilt_kernel`` over one wealth
-    matrix, and every sign change is closed by Brent's method.  A candidate
-    ``c`` counts only where ``|gap|``, best response minus share, is within
-    ``_FIXED_POINT_TOL`` (a sign change that survives the collapse of its
-    bracket is a jump); the frozen objective is concave, so that is read from
-    the slope signs at the bounds and at ``c - tol`` and ``c + tol``, with no inner
-    root-find.  Among the fixed points the one with the highest
+    the share and tends to ``u'(r_f) cut`` at 0, ``cut`` being the region's
+    belief cutoff; it may jump at 0, where the loss region switches sides.  A
+    region ending at 0 whose limit points into 0 is skipped (``_sampled_slopes``);
+    each other region is sampled on a few evenly spaced shares, all in one pass of
+    ``_tilt_kernel`` over one wealth matrix, and every sign change is closed by
+    Brent's method.  Each root, and each bound ``h`` points past, is a fixed
+    point.  At 0 the beliefs are objective, so 0 is one where the objective grid's
+    best share is exactly 0.  Among the fixed points the one with the highest
     anticipatory-plus-gain-loss utility is returned (lowest share on ties).
-    Without one, the sampled share with the smallest ``|gap|`` is returned with
-    ``converged=False`` (``_least_gap``: an inner maximization only at samples
-    whose slope signs leave them in the running).  The batched samples only
+    Without one -- every region skipped, which on both sign regions means
+    ``q(1 - p_star) <= 0 <= q(p_star)``, and 0 no fixed point -- the agent does not
+    trade: ``alpha = 0`` with ``converged=False``.  The batched samples only
     decide signs and brackets; Brent's iterates, the candidates and the returned
-    share read one-share tilts, each computed once per solve, so ``value`` is
-    exactly ``naive_fixed_objective(..., alpha)(alpha)``.
+    share read one-share tilts, each computed once per solve, so ``value`` is exactly
+    ``naive_fixed_objective(..., alpha)(alpha)``.
     """
     lo, hi = _feasible_bounds(asset, utility, bounds)
     grid = _AssetGrid(asset, prefs, utility)
@@ -409,46 +408,27 @@ def naive_alpha(asset: Asset, prefs: Preferences,
         evaluated.add(alpha)
         return grid.tilt(alpha).h
 
-    samples = [0.0] if lo <= 0.0 <= hi else []
-    candidates = list(samples)
+    zero = lo <= 0.0 <= hi and _best_share(*grid.nodes, asset.r_f, utility, lo, hi)[0] == 0.0
+    candidates = [0.0] if zero else []
     for a, b in _sign_regions(lo, hi):
-        offset = _ZERO_OFFSET * (b - a)
-        shares = np.linspace(a + offset if a == 0 else a, b - offset if b == 0 else b, _GAP_SAMPLES)
-        hs = [tilt.h for tilt in _tilt_kernel(grid, shares)]  # one pass for the region's samples
-        shares = shares.tolist()
-        evaluated.update(shares)
+        sampled = _sampled_slopes(grid, a, b)
+        if sampled is None:
+            continue
+        shares, hs = sampled
+        evaluated.update(s for s in shares if s != 0.0)
         # at a bound that h points past the gap is 0: a candidate, and no end of a bracket
         hs = [0.0 if (s == lo and v <= 0) or (s == hi and v >= 0) else v for s, v in zip(shares, hs)]
-        samples += shares
         candidates += [s for s, v in zip(shares, hs) if v == 0.0]
         candidates += [_brent_root(h, shares[i], hs[i], shares[i + 1], hs[i + 1])[0]
                        for i in range(len(shares) - 1) if hs[i] * hs[i + 1] < 0]
 
-    fixed = sorted(alpha for alpha in set(candidates)
-                   if _best_share_near(*_naive_beliefs(grid, alpha), asset.r_f, utility, lo, hi,
-                                       alpha, _FIXED_POINT_TOL))
+    fixed = sorted(set(candidates))
     best = _highest([(alpha, _total_utility_at(grid, prefs, alpha)) for alpha in fixed], 1e-12)
-    best_alpha = _least_gap(grid, samples, lo, hi) if best is None else best[0]
+    best_alpha = 0.0 if best is None else best[0]
     x, w = _naive_beliefs(grid, best_alpha)
     return PortfolioSolution(best_alpha, *_belief_finish(grid, utility, best_alpha),
                              _expected_utility(utility, asset.r_f, best_alpha, x, w),
                              converged=bool(fixed), iterations=len(evaluated))
-
-
-def _least_gap(grid: _AssetGrid, samples: list[float], lo: float, hi: float) -> float:
-    """``min(samples, key=|gap|)``, the gap being the best response on ``[lo, hi]`` under the
-    beliefs tilted at a sample minus the sample.  A sample whose best response, read from
-    slope signs, lies farther than the least ``|gap|`` so far plus 1e-9 (far above the 1e-12
-    of the inner root-find) cannot win, so it gets no inner maximization."""
-    r_f, utility, best = grid.asset.r_f, grid.utility, None
-    for s in samples:
-        x, w = _naive_beliefs(grid, s)
-        if best is not None and not _best_share_near(x, w, r_f, utility, lo, hi, s, best[1] + 1e-9):
-            continue
-        gap = abs(_best_share(x, w, r_f, utility, lo, hi)[0] - s)
-        if best is None or gap < best[1]:
-            best = (s, gap)
-    return best[0]
 
 
 def _belief_finish(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):

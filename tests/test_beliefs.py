@@ -60,7 +60,7 @@ class TestLottery:
                                   (ConsumptionUtility("power", 2.0), lambda v: v ** -2.0),
                                   (ConsumptionUtility("power", 0.5), lambda v: v ** -0.5)):
             expected = [marginal(float(v)) for v in z]
-            assert utility.marginal_array(z) == pytest.approx(expected, rel=1e-15)
+            assert utility.marginal_array(z) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_log_domain(self):
         with pytest.raises(DomainError):

@@ -118,8 +118,9 @@ class TestPortfolio:
         assert "prefs" in err
 
     def test_non_convergence_exits_2(self, cli):
-        # a pessimist on this asset flips between long and short beliefs, so
-        # the fixed point does not exist and the solver reports it honestly
+        # a pessimist whose two belief cutoffs bracket 0, q(1 - p*) <= 0 <= q(p*): no
+        # fixed point but the generalised one at 0, so the agent does not trade and the
+        # solver reports it as not converged
         asset = json.dumps({"r_f": 1.0, "excess": {"normal": {"mean": 0.05, "sd": 0.2}}})
         prefs = json.dumps({"eta": 1.0 / (2.25 - 0.7 * 1.25), "lambda": 2.25})
         code, out, _ = cli("portfolio", "--asset", asset, "--agent", "naive",
@@ -128,14 +129,15 @@ class TestPortfolio:
         assert json.loads(out)["converged"] is False
 
     def test_flat_naive_objective_exits_2(self, cli):
-        # linear utility on a zero-mean asset: the frozen objective is flat at 0 and no
-        # candidate passes the fixed-point test; the output is pinned byte for byte
+        # linear utility on a zero-mean asset: the frozen objective is flat at 0 and both
+        # belief cutoffs point into 0, so no region is searched; the output is pinned byte
+        # for byte
         code, out, _ = cli("portfolio", "--asset", '{"r_f":1,"excess":{"normal":{"mean":0,"sd":0.2}}}',
                            "--agent", "naive", "--prefs", '{"eta":0.7,"lambda":2.25}',
                            "--utility", '{"kind":"linear"}', "--bounds=-1:1")
         assert code == 2
         assert out == ('{\n  "alpha": 0.0,\n  "belief_expectation": 1.0,\n  "r_ce": null,\n  "value": 1.0,\n'
-                       '  "converged": false,\n  "iterations": 14\n}\n')
+                       '  "converged": false,\n  "iterations": 0\n}\n')
 
     @pytest.mark.parametrize("agent", ["rational", "naive", "sophisticated"])
     @pytest.mark.parametrize("utility", ['{"kind":"power","rho":2}', '{"kind":"log"}', '{"kind":"linear"}'])

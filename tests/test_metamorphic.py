@@ -25,6 +25,8 @@ from bbl import (
 )
 from bbl._roots import _ROOT_X_TOL
 
+from test_portfolio import eta_corpus, mirrored, naive_corpus
+
 AGENTS = ("rational", "naive", "sophisticated")
 UTILITIES = {"log": ConsumptionUtility("log"), "power2": ConsumptionUtility("power", 2.0)}
 FACTORS = (0.5, 2.0, 3.0)
@@ -80,6 +82,18 @@ class TestScaleRelations:
                 # measured worst 1.2e-12 (naive) and 1.1e-15 (rational, sophisticated): two
                 # Brent roots, each within _ROOT_X_TOL of the same sign change
                 assert abs(scaled.alpha - base.alpha) <= 2.0 * _ROOT_X_TOL + 1e-14
+
+
+def test_mirrored_excess_return_mirrors_the_naive_share():
+    """Excess return ``-x`` maps the naive share ``alpha`` to ``-alpha`` with the same verdict:
+    wealth ``r_f + (-alpha)(-x)`` is the same random variable, and the two belief cutoffs
+    swap and change sign.  Measured worst 3.9e-14 of ``max(1, |alpha|)``: two Brent roots,
+    each within _ROOT_X_TOL of the same sign change, on nodes mirrored up to rounding."""
+    for asset, prefs, utility in naive_corpus() + eta_corpus():
+        base = naive_alpha(asset, prefs, utility, BOUNDS)
+        mirror = naive_alpha(Asset(asset.r_f, mirrored(asset.excess)), prefs, utility, BOUNDS)
+        assert mirror.converged == base.converged
+        assert abs(mirror.alpha + base.alpha) <= _ROOT_X_TOL * max(1.0, abs(base.alpha))
 
 
 class TestNarrowMixtureComponent:
