@@ -4,7 +4,15 @@ Solvers for the belief-distortion objective over discrete and continuous
 lotteries, an information-timing comparison, portfolio choice for rational,
 naive and sophisticated agents, and homogeneous-investor equilibrium
 pricing, all backed by brute-force oracles.
+
+``import bbl`` loads no numpy.  ``portfolio`` and ``oracles`` import it at
+their top, so they and their nine exported names are resolved on access,
+through the module ``__getattr__`` (PEP 562).  numpy loads at the first such
+access, or at the first array or quadrature path of ``beliefs`` or
+``distributions``.
 """
+
+import importlib
 
 from .beliefs import (
     BeliefSolution,
@@ -37,15 +45,6 @@ from .equilibrium import (
     write_sweep_csv,
 )
 from .errors import DomainError
-from .oracles import grid_search_alpha, grid_search_beliefs, simpson_integral
-from .portfolio import (
-    Asset,
-    PortfolioSolution,
-    certainty_equivalent_excess,
-    naive_alpha,
-    rational_alpha,
-    sophisticated_alpha,
-)
 from .preferences import (
     GainLossSpec,
     Preferences,
@@ -57,6 +56,22 @@ from .preferences import (
 from .timing import TimingVerdict, timing_preference, utility_early, utility_wait
 
 __version__ = "0.1.0"
+
+# The module of each lazily exported name, and the two modules themselves.  Nothing is
+# cached here: every access reads the module's current binding, so a patch of that
+# binding is seen through ``bbl`` too, and leaves nothing behind once undone.
+_LAZY = {"portfolio": "portfolio", "oracles": "oracles",
+         **dict.fromkeys(("Asset", "PortfolioSolution", "certainty_equivalent_excess", "naive_alpha",
+                          "rational_alpha", "sophisticated_alpha"), "portfolio"),
+         **dict.fromkeys(("grid_search_alpha", "grid_search_beliefs", "simpson_integral"), "oracles")}
+
+
+def __getattr__(name: str):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home}")
+    return module if name == home else getattr(module, name)
 
 __all__ = [
     "Asset",

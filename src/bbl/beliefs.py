@@ -30,8 +30,6 @@ from functools import cached_property
 import itertools
 import math
 
-import numpy as np
-
 from ._roots import _brent_root
 from .errors import DomainError, _fields, _finite, _finite_tuple
 from .preferences import GENERAL, Preferences, cutoff_probability, gain_loss, loss_multiplier
@@ -62,8 +60,7 @@ class ConsumptionUtility:
         if self.kind not in ("linear", "power", "log"):
             raise ValueError(f"utility.kind must be 'linear', 'power' or 'log', got {self.kind!r}")
         if self.kind == "power":
-            if self.rho is None:
-                raise ValueError("utility: power kind requires field 'rho'")
+            # a missing rho (None) is refused here too, by name
             object.__setattr__(self, "rho", _finite("utility.rho", self.rho))
             if self.rho <= 0 or self.rho == 1.0:
                 raise ValueError(f"utility.rho must be positive and different from 1, got {self.rho}")
@@ -97,6 +94,7 @@ class ConsumptionUtility:
 
     def value_array(self, z: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`value`; the caller guarantees the domain."""
+        import numpy as np
         z = np.asarray(z, dtype=float)
         if self.kind == "linear":
             return z
@@ -106,6 +104,7 @@ class ConsumptionUtility:
 
     def marginal_array(self, z: np.ndarray) -> np.ndarray:
         """Marginal utility at each payoff; the caller guarantees the domain."""
+        import numpy as np
         z = np.asarray(z, dtype=float)
         if self.kind == "linear":
             return np.ones_like(z)

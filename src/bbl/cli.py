@@ -4,6 +4,10 @@ Exit codes: 0 on success, 1 on an input error, 2 on a numerical failure
 (non-convergence, a non-finite result or a failed oracle verification).
 Numbers are printed at 10 significant digits so identical inputs give
 byte-identical output; NaN and infinities are never printed.
+
+Only ``portfolio`` and ``verify`` import numpy: their handlers import the
+portfolio solvers and the oracles when they run, so ``pstar``, ``beliefs``,
+``timing``, ``compare`` and ``equilibrium`` start without it.
 """
 
 from __future__ import annotations
@@ -13,24 +17,11 @@ import io
 import json
 import sys
 
-import numpy as np
-
 from . import equilibrium as eq
 from .beliefs import ConsumptionUtility, DiscreteLottery, solve_optimal_beliefs
 from .distributions import ContinuousDistribution, compare
 from .equilibrium import _fmt
 from .errors import _finite
-from .oracles import _grid_step, grid_search_alpha, grid_search_beliefs
-from .portfolio import (
-    DEFAULT_BOUNDS,
-    Asset,
-    naive_alpha,
-    naive_fixed_objective,
-    rational_alpha,
-    rational_objective,
-    sophisticated_alpha,
-    sophisticated_objective,
-)
 from .preferences import Preferences, cutoff_probability, eta_for_cutoff
 from .timing import timing_preference
 
@@ -184,6 +175,7 @@ def _cmd_compare(args) -> int:
 
 def _portfolio_inputs(args, command: str):
     """Asset, utility, bounds and the preferences, None for the rational agent."""
+    from .portfolio import DEFAULT_BOUNDS, Asset
     asset = Asset.from_dict(_load_json("--asset", args.asset))
     utility = (ConsumptionUtility.from_dict(_load_json("--utility", args.utility))
                if args.utility else ConsumptionUtility())
@@ -196,6 +188,7 @@ def _portfolio_inputs(args, command: str):
 
 
 def _cmd_portfolio(args) -> int:
+    from .portfolio import naive_alpha, rational_alpha, sophisticated_alpha
     asset, utility, bounds, prefs = _portfolio_inputs(args, "portfolio")
     if prefs is None:
         solution = rational_alpha(asset, utility, bounds)
@@ -221,8 +214,9 @@ def _cmd_equilibrium(args) -> int:
 
 def _random_lottery(rng: np.random.Generator) -> DiscreteLottery:
     size = int(rng.integers(2, 5))
-    payoffs = np.sort(rng.uniform(0.0, 10.0, size))
-    probs = rng.dirichlet(np.ones(size))
+    payoffs = rng.uniform(0.0, 10.0, size)
+    payoffs.sort()
+    probs = rng.dirichlet([1.0] * size)
     probs = probs / probs.sum()
     return DiscreteLottery(tuple(payoffs), tuple(probs))
 
@@ -234,11 +228,13 @@ def _random_prefs(rng: np.random.Generator) -> Preferences:
 
 
 def _cmd_verify(args) -> int:
+    from .oracles import _grid_step, grid_search_alpha, grid_search_beliefs
     if args.target == "beliefs":
         _checked("--step", _grid_step, args.step)
         if args.random < 0:
             raise ValueError(f"argument --random: expected a non-negative case count, got {args.random}")
         if args.random > 0:
+            import numpy as np
             rng = _checked("--seed", np.random.default_rng, args.seed)
             failures = 0
             worst = 0.0
@@ -264,6 +260,7 @@ def _cmd_verify(args) -> int:
 
     if args.asset is None:
         raise ValueError("verify alpha: provide --asset")
+    from .portfolio import naive_alpha, naive_fixed_objective, rational_objective, sophisticated_objective
     asset, utility, bounds, prefs = _portfolio_inputs(args, "verify alpha")
     if prefs is None:
         objective = rational_objective(asset, utility)

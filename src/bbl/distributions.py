@@ -27,7 +27,9 @@ one read-only panel set over the whole support, built on first use (a tabulated
 density's cells, or equal panels over each component's envelope, merged).  It is
 read whole, or cut in two at a belief cutoff by ``_split``, which slices both
 halves at one index, with fresh nodes only on the one panel that holds the cut.
-Every node set's mass is checked against the cdf.
+Every node set's mass is checked against the cdf.  numpy is imported inside
+those array paths only, so the scalar ``pdf``, ``cdf`` and ``quantile`` run
+without it.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import ClassVar, NamedTuple
-
-import numpy as np
 
 from .errors import DomainError, _fields, _finite, _finite_tuple
 from .preferences import _VERDICT_TOL, INDIFFERENT, Preferences, _interior_cutoff, _verdict
@@ -78,6 +78,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 @lru_cache(maxsize=1)
 def _leggauss() -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     return np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
@@ -94,7 +95,10 @@ def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _norm_pdf(z: np.ndarray | float, mean: float, sd: float, sd_sqrt_2pi: float):
     t = (z - mean) / sd
-    return (math.exp if isinstance(t, float) else np.exp)(-0.5 * t * t) / sd_sqrt_2pi
+    if isinstance(t, float):
+        return math.exp(-0.5 * t * t) / sd_sqrt_2pi
+    import numpy as np
+    return np.exp(-0.5 * t * t) / sd_sqrt_2pi
 
 
 def _norm_cdf(z: float, mean: float, sd_sqrt2: float) -> float:
@@ -249,7 +253,7 @@ class ContinuousDistribution:
             if len(z) != len(f):
                 raise ValueError("tabulated: fields 'z' and 'f' must have equal length")
             if len(z) < 2:
-                raise ValueError("tabulated: need at least two grid points")
+                raise ValueError("tabulated: field 'z' needs at least two grid points")
             if any(b <= a for a, b in zip(z, z[1:])):
                 raise ValueError("tabulated: field 'z' must be strictly increasing")
             if any(v < 0 for v in f):
@@ -305,7 +309,9 @@ class ContinuousDistribution:
     def pdf(self, z):
         """Density at ``z``: float in, float out (numpy-free for normal and mixture); array in, array out."""
         scalar = self.kind != "tabulated" and isinstance(z, float)
-        z = z if scalar else np.asarray(z, dtype=float)
+        if not scalar:
+            import numpy as np
+            z = np.asarray(z, dtype=float)
         if self.kind == "tabulated":
             out = np.interp(z, self.grid, self.density, left=0.0, right=0.0)
         else:
@@ -404,6 +410,7 @@ class ContinuousDistribution:
         equal panels over each component's envelope, merged (a narrow component would
         otherwise fall between another's nodes)."""
         if self._panels is None:
+            import numpy as np
             if self.kind == "tabulated":
                 edges = np.array(self.grid)
             else:
@@ -435,6 +442,7 @@ class ContinuousDistribution:
         ``[lo, hi]``, as ``quad_nodes`` gives the whole: both halves slice the panel set at one
         index, and only the panel that holds ``cut`` gets fresh nodes, on each side of it;
         each half's mass is checked as in ``quad_nodes``."""
+        import numpy as np
         s_lo, s_hi = self.support
         cut = min(max(cut, s_lo), s_hi)
         edges, x, w = self._panel_set()

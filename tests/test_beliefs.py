@@ -45,6 +45,11 @@ class TestLottery:
         with pytest.raises(ValueError):
             DiscreteLottery((), ())
 
+    def test_power_utility_without_rho_named(self):
+        # JSON input cannot get here (from_dict requires the field), the constructor can
+        with pytest.raises(ValueError, match=r"utility\.rho must be a finite number, got None"):
+            ConsumptionUtility("power")
+
     def test_utility_kinds(self):
         lin = DiscreteLottery((0.0, 4.0), (0.5, 0.5))
         assert lin.utilities == (0.0, 4.0)

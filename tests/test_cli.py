@@ -1,10 +1,12 @@
 import hashlib
 import json
+import runpy
 import subprocess
 import sys
 
 import pytest
 
+import bbl
 from bbl.cli import run
 
 LOTTERY = '{"payoffs":[0,1],"probs":[0.1,0.9]}'
@@ -46,13 +48,94 @@ class TestPstar:
         assert out.returncode == 0
         assert out.stdout == "0.8\n"
 
+    @pytest.mark.parametrize("argv,code,out", [
+        (["--eta", "0.8", "--lambda", "2.25"], 0, "0.8\n"),
+        (["--lambda", "2.25"], 1, ""),
+    ], ids=["ok", "input-error"])
+    def test_main_exits_with_the_run_code(self, capsys, monkeypatch, argv, code, out):
+        # what `python -m bbl.cli` runs, in this process
+        monkeypatch.setattr(sys, "argv", ["bbl", "pstar", *argv])
+        monkeypatch.delitem(sys.modules, "bbl.cli")  # runpy warns when the module is already loaded
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("bbl.cli", run_name="__main__")
+        assert exit_.value.code == code
+        assert capsys.readouterr().out == out
+
 
 def test_import_leaves_out_scipy_and_statistics():
-    """Start-up pays for numpy alone: no closed-form-quantile shortcut through scipy or statistics."""
+    """No closed-form-quantile shortcut through scipy or statistics: the normal quantile is
+    AS241 plus Newton steps on ``math`` alone."""
     code = "import sys, bbl.cli; print([m for m in ('scipy', 'statistics') if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
+
+
+# The modules that only the array commands may load.
+ARRAY_MODULES = ("numpy", "bbl.portfolio", "bbl.oracles")
+MIXTURE = '{"mixture":[{"w":0.6,"mean":-0.5,"sd":0.4},{"w":0.4,"mean":0.75,"sd":0.6}]}'
+TABULATED = '{"tabulated":{"z":[0,1,2],"f":[0,1,0]}}'
+_RUN_AND_LIST = f"""
+import contextlib, io, json, sys
+import bbl.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = bbl.cli.run(json.loads(sys.argv[1]))
+print(json.dumps([code, [m for m in {ARRAY_MODULES!r} if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["pstar", "--eta", "0.7", "--lambda", "2.25"], []),
+    (["pstar", "--p-star", "0.5", "--lambda", "2.25"], []),
+    (["beliefs", "--lottery", LOTTERY, "--prefs", PREFS], []),
+    (["timing", "--lottery", LOTTERY, "--prefs", PREFS], []),
+    (["compare", "--dist-a", NORMAL, "--dist-b", MIXTURE, "--prefs", PREFS, "--agent", "naive"], []),
+    (["compare", "--dist-a", NORMAL, "--dist-b", TABULATED, "--prefs", PREFS, "--agent", "sophisticated"], []),
+    (["equilibrium", "--dist", NORMAL, "--lambda", "2.25", "--format", "csv"], []),
+    (["equilibrium", "--dist", MIXTURE, "--lambda", "2.25", "--format", "json"], []),
+    (["equilibrium", "--dist", TABULATED, "--lambda", "2.25", "--format", "csv"], []),
+    (["equilibrium", "--dist", TABULATED, "--lambda", "2.25", "--format", "json"], []),
+    (["portfolio", "--asset", ASSET, "--agent", "rational"], ["numpy", "bbl.portfolio"]),
+    (["verify", "beliefs", "--lottery", LOTTERY, "--prefs", PREFS], ["numpy", "bbl.oracles"]),
+    (["verify", "alpha", "--asset", ASSET], list(ARRAY_MODULES)),
+], ids=["pstar", "pstar-inverse", "beliefs", "timing", "compare-naive-mixture",
+        "compare-sophisticated-tabulated", "equilibrium-csv-normal", "equilibrium-json-mixture",
+        "equilibrium-csv-tabulated", "equilibrium-json-tabulated", "portfolio", "verify-beliefs",
+        "verify-alpha"])
+def test_only_array_commands_import_numpy(argv, loaded):
+    out = subprocess.run([sys.executable, "-c", _RUN_AND_LIST, json.dumps(argv)], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [0, loaded]
+
+
+def test_bare_import_leaves_out_numpy():
+    code = (f"import sys, bbl; print([m for m in {ARRAY_MODULES!r} if m in sys.modules]); "
+            f"bbl.oracles; print([m for m in {ARRAY_MODULES!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n['numpy', 'bbl.oracles']\n"
+
+
+class TestLazyExports:
+    def test_lazy_name_is_the_module_binding(self):
+        assert bbl.naive_alpha is bbl.portfolio.naive_alpha
+        assert bbl.simpson_integral is bbl.oracles.simpson_integral
+
+    def test_lazy_name_follows_a_rebinding(self, monkeypatch):
+        monkeypatch.setattr(bbl.portfolio, "rational_alpha", len)
+        assert bbl.rational_alpha is len
+        monkeypatch.undo()
+        assert bbl.rational_alpha is not len
+        assert "rational_alpha" not in vars(bbl)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="'bbl' has no attribute 'no_such_name'"):
+            bbl.no_such_name
+
+    def test_star_import_binds_every_exported_name(self):
+        namespace = {}
+        exec("from bbl import *", namespace)
+        assert [name for name in bbl.__all__ if namespace.get(name) is not getattr(bbl, name)] == []
 
 
 class TestBeliefs:
@@ -324,6 +407,40 @@ class TestErrors:
     def test_unknown_flag(self, cli):
         code, _, err = cli("pstar", "--eta", "0.8", "--lambda", "2.25", "--bogus", "1")
         assert code == 1
+
+    def test_invalid_json_in_file_names_argument(self, cli, tmp_path):
+        path = tmp_path / "prefs.json"
+        path.write_text('{"eta":0.8,', encoding="utf-8")
+        code, out, err = cli("beliefs", "--lottery", LOTTERY, "--prefs", str(path))
+        assert code == 1
+        assert out == ""
+        assert "argument --prefs: invalid JSON in file" in err
+
+    @pytest.mark.parametrize("argv,field", [
+        (("beliefs", "--lottery", '{"payoffs":[1,2],"probs":[0.5,0.5],"utility":{"kind":"cubic"}}',
+          "--prefs", PREFS), "utility.kind"),
+        (("beliefs", "--lottery", '{"payoffs":[1,2],"probs":[0.5,0.5],"utility":{"kind":"power","rho":1}}',
+          "--prefs", PREFS), "utility.rho"),
+        (("portfolio", "--asset", ASSET, "--agent", "rational", "--utility", '{"kind":"power","rho":-2}'),
+         "utility.rho"),
+        (("compare", "--dist-a", NORMAL, "--dist-b",
+          '{"mixture":[{"w":-0.5,"mean":0,"sd":1},{"w":1.5,"mean":1,"sd":1}]}', "--prefs", PREFS,
+          "--agent", "naive"), "mixture weight"),
+        (("equilibrium", "--dist", '{"mixture":[]}', "--lambda", "2.25"), "normal components"),
+        (("equilibrium", "--dist", '{"tabulated":{"z":[0,1,2],"f":[0,1]}}', "--lambda", "2.25"),
+         "fields 'z' and 'f'"),
+        (("equilibrium", "--dist", '{"tabulated":{"z":[0],"f":[1]}}', "--lambda", "2.25"), "field 'z'"),
+        (("beliefs", "--lottery", LOTTERY, "--prefs",
+          '{"eta":0.8,"lambda":2.25,"gain_loss":{"kind":"general","beta":1,"kappa":0}}'), "gain_loss.kappa"),
+        (("timing", "--lottery", LOTTERY, "--prefs", '{"eta":0.8,"lambda":2.25,"gain_loss":{"kind":"cubic"}}'),
+         "gain_loss.kind"),
+    ], ids=["utility-kind", "rho-one", "rho-negative", "mixture-weight", "no-components", "tabulated-lengths",
+            "tabulated-one-point", "kappa-zero", "gain-loss-kind"])
+    def test_out_of_domain_input_named(self, cli, argv, field):
+        code, out, err = cli(*argv)
+        assert code == 1
+        assert out == ""
+        assert field in err
 
     def test_missing_file(self, cli):
         code, _, err = cli("beliefs", "--lottery", "does-not-exist.json", "--prefs", PREFS)

@@ -61,6 +61,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ContinuousDistribution.tabulated((0.0, 1.0), (2.0, -0.0001))
 
+    def test_unknown_kind_named(self):
+        # from_dict picks the kind from the field it finds, so only the constructor can get here
+        with pytest.raises(ValueError, match="distribution kind must be"):
+            ContinuousDistribution("uniform")
+
     @pytest.mark.parametrize("text,dist", [
         ('{"normal": {"mean": 1, "sd": 1}}', N11),
         ('{"mixture": [{"w": 0.7, "mean": -0.5, "sd": 0.4}, {"w": 0.3, "mean": 1.1666666666666667, "sd": 0.6}]}',
