@@ -7,7 +7,8 @@ excess distribution with positive weights ``W``:
 * ``rational_alpha``      -- the objective grid;
 * ``sophisticated_alpha`` -- on each sign region of the share, ``eta`` times the
   sum over the region's nodes with the loss nodes (beyond the belief cutoff)
-  weighted by ``lambda``;
+  weighted by ``lambda``.  A region ending at 0 whose slope there points into 0
+  has its best share at 0 and is not searched;
 * ``naive_alpha``         -- a fixed point: the share is the maximizer under the
   beliefs tilted at that share.  On each sign region, a bracketed root of the
   slope at ``a = alpha`` of utility under the beliefs frozen at ``alpha``, or a
@@ -17,7 +18,9 @@ excess distribution with positive weights ``W``:
 
 Both biased agents read one node set per sign region: one split of the panel set
 at its belief cutoff, whose gain and loss weights each agent scales by its own
-pair of factors (``_AssetGrid.weighted``).
+pair of factors (``_AssetGrid.weighted``).  Both read a region's slope at 0 from
+closed forms with no node (``_slope_at_zero``): ``u'(r_f)`` times the region's
+first moment under the agent's weights at 0.
 
 Such a sum is concave, so ``_best_share`` finds its maximum as the Brent root
 of the first-order condition, or the bound its slope points to.  Bounds are
@@ -35,7 +38,7 @@ import numpy as np
 
 from ._roots import _brent_root
 from .beliefs import ConsumptionUtility, _tilt_factors
-from .distributions import ContinuousDistribution
+from .distributions import ContinuousDistribution, partial_expectation
 from .errors import DomainError, _fields, _finite
 from .preferences import Preferences, _interior_cutoff
 
@@ -82,7 +85,8 @@ class PortfolioSolution:
     the biased agents, ``(u^-1(value) - r_f) / alpha`` for the rational one.
     ``iterations`` counts evaluations of the first-order-condition slope for
     the rational and sophisticated agents (over both sign regions for the
-    latter), and the distinct nonzero shares at which the naive agent evaluated
+    latter; a region skipped for its closed-form slope at 0 adds none), and the
+    distinct nonzero shares at which the naive agent evaluated
     ``h``, the slope of the frozen-belief objective at the share itself: the
     sampled shares, batched or not, and Brent's iterates; 0 where no sign region
     is searched.  ``value`` is the agent's objective at ``alpha``, term for term:
@@ -332,14 +336,37 @@ def _highest(candidates, tie: float):
     return best
 
 
-def _concave_solve(r_f: float, utility: ConsumptionUtility, regions, nodes, scale: float = 1.0):
+def _slope_at_zero(grid: _AssetGrid, end: float, lambda0: float | None = None) -> float:
+    """Slope at 0 of ``sum W u(r_f + a x)`` under a biased agent's weights on the sign region
+    of ``end`` (0+ for ``end >= 0``), from closed forms with no node: ``u'(r_f)`` times the
+    region's first moment under those weights at 0.  For the naive agent (no ``lambda0``)
+    the beliefs tilted at ``a`` make that moment the belief cutoff ``cut(±)`` as ``a`` tends
+    to 0.  For the sophisticated agent, whose loss weights are ``lambda0`` times the
+    objective ones, it is ``E x + (lambda0 - 1)`` times the loss moment: ``PE(cut(+))``
+    below ``cut(+)``, or ``E x - PE(cut(-))`` above ``cut(-)``, where ``PE`` is
+    ``partial_expectation``."""
+    moment = grid.cut(end)
+    if lambda0 is not None:
+        dist = grid.asset.excess
+        mean, below = dist.mean(), partial_expectation(dist, moment)
+        moment = mean + (lambda0 - 1.0) * (below if end >= 0 else mean - below)
+    return float(grid.utility.marginal_array(np.array(grid.asset.r_f))) * moment
+
+
+def _concave_solve(r_f: float, utility: ConsumptionUtility, regions, nodes, scale: float = 1.0,
+                   at_zero=None):
     """Best share over ``regions``, in ascending order: on each region ``(lo, hi)`` the
     ``_best_share`` of ``scale * sum W u(r_f + a x)`` over the nodes ``nodes(lo)``, valued
-    over ``nodes(share)``, the regions compared by ``_highest``.  Returns (share, value,
-    slope evaluations)."""
+    over ``nodes(share)``, the regions compared by ``_highest``.  Given ``at_zero(end)``, the
+    slope at 0 toward ``end``, a region ending at 0 whose slope there points into 0 has its
+    best share at 0, by concavity, and is not searched.  Returns (share, value, slope
+    evaluations)."""
     candidates, calls = [], 0
     for lo, hi in regions:
-        alpha, n = _best_share(*nodes(lo), r_f, utility, lo, hi)
+        if at_zero is not None and 0.0 in (lo, hi) and at_zero(lo + hi) * (lo + hi) <= 0:
+            alpha, n = 0.0, 0
+        else:
+            alpha, n = _best_share(*nodes(lo), r_f, utility, lo, hi)
         # either region may reach 0, whose value reads the alpha >= 0 nodes
         candidates.append((alpha, scale * _expected_utility(utility, r_f, alpha, *nodes(alpha))))
         calls += n
@@ -360,14 +387,15 @@ def rational_alpha(asset: Asset, utility: ConsumptionUtility = ConsumptionUtilit
 def _sampled_slopes(grid: _AssetGrid, a: float, b: float):
     """``h`` at ``_GAP_SAMPLES`` evenly spaced shares of the sign region ``[a, b]``, the
     nonzero ones in one ``_tilt_kernel`` pass; an end at 0 reads the limit
-    ``h(0±) = u'(r_f) cut``.  None where that limit points into 0: concavity under the
-    beliefs tilted at ``alpha`` gives ``alpha h(alpha) <= u(r_f + alpha cut) - u(r_f)``, so
-    ``h`` keeps that sign over the whole region, which then holds no fixed point."""
+    ``h(0±) = u'(r_f) cut`` (``_slope_at_zero``).  None where that limit points into 0:
+    concavity under the beliefs tilted at ``alpha`` gives ``alpha h(alpha) <= u(r_f + alpha
+    cut) - u(r_f)``, so ``h`` keeps that sign over the whole region, which then holds no
+    fixed point."""
     shares = np.linspace(a, b, _GAP_SAMPLES)
     if 0.0 not in (a, b):
         return shares.tolist(), [tilt.h for tilt in _tilt_kernel(grid, shares)]
     end = a + b  # the region's nonzero end
-    limit = float(grid.utility.marginal_array(np.array(grid.asset.r_f))) * grid.cut(end)
+    limit = _slope_at_zero(grid, end)
     if limit * end <= 0:
         return None
     hs = [tilt.h for tilt in _tilt_kernel(grid, shares[1:] if a == 0 else shares[:-1])]
@@ -451,12 +479,18 @@ def sophisticated_alpha(asset: Asset, prefs: Preferences,
     over the region's gain nodes at their objective weights and its loss nodes at
     ``lambda`` times theirs, which is the objective grid plus the loss nodes
     weighted ``lambda - 1``; it is concave there, so each region's maximum is one
-    ``_best_share``.  The regions are compared by value (lowest share on ties).
+    ``_best_share``.  Its slope at 0 is ``eta u'(r_f)`` times ``s(0+) = E x + (lambda - 1)
+    PE(q(1 - p_star))`` or ``s(0-) = E x + (lambda - 1) (E x - PE(q(p_star)))``, ``PE`` the
+    partial expectation (``_slope_at_zero``); a region ending at 0 where it points into 0
+    has its maximum at 0 and is not searched, so on bounds around 0 the investor abstains
+    iff ``s(0+) <= 0 <= s(0-)``.  The value at 0 still reads the ``alpha >= 0`` nodes.  The
+    regions are compared by value (lowest share on ties).
     """
     lo, hi = _feasible_bounds(asset, utility, bounds)
-    grid = _AssetGrid(asset, prefs)
+    grid = _AssetGrid(asset, prefs, utility)
     alpha, value, iters = _concave_solve(asset.r_f, utility, _sign_regions(lo, hi) or [(lo, hi)],
-                                         _overweighted(grid, prefs.lambda0), prefs.eta)
+                                         _overweighted(grid, prefs.lambda0), prefs.eta,
+                                         lambda end: _slope_at_zero(grid, end, prefs.lambda0))
     return PortfolioSolution(alpha, *_belief_finish(grid, utility, alpha), value,
                              converged=True, iterations=iters)
 

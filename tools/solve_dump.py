@@ -1,0 +1,72 @@
+"""Print one JSON line per portfolio solve over a fixed set of inputs, so that two trees
+can be compared with ``diff``.
+
+The inputs are the seeded corpora of ``tests/test_portfolio.py`` (``naive_corpus()``,
+``eta_corpus()`` and ``naive_corpus(seed=7, per_cell=20)``), the README asset and five
+zero-mean symmetric assets under linear, log and power rho = 2 utility at eta 0.50 to 0.90
+in steps of 0.05 (lambda 2.25), each solved on eight bounds by the three agents.  Each
+line holds the case index, the bounds, the agent and the solution's ``alpha``, ``value``,
+``r_ce``, ``belief_expectation``, ``converged`` and ``iterations``, floats written by
+``repr``; a solve that raises gives its error instead.  No options.  From the repository
+root:
+
+    PYTHONPATH=src python tools/solve_dump.py > solves.jsonl
+"""
+
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from test_portfolio import NORMAL_ASSET, eta_corpus, naive_corpus  # noqa: E402
+
+from bbl import Asset, ConsumptionUtility, ContinuousDistribution, Preferences  # noqa: E402
+from bbl.portfolio import naive_alpha, rational_alpha, sophisticated_alpha  # noqa: E402
+
+BOUNDS = [(-10.0, 10.0), (0.0, 10.0), (-10.0, 0.0), (0.0, 0.0), (0.3, 0.3), (0.3, 1.0),
+          (-1.0, -0.3), (-0.5, 0.5)]
+UTILITIES = [ConsumptionUtility(), ConsumptionUtility("log"), ConsumptionUtility("power", 2.0)]
+ETAS = [0.5 + 0.05 * k for k in range(9)]
+SYMMETRIC = [
+    ContinuousDistribution.normal(0.0, 0.2),
+    ContinuousDistribution.normal(0.0, 1.0),
+    ContinuousDistribution.mixture([(0.5, -0.3, 0.1), (0.5, 0.3, 0.1)]),
+    ContinuousDistribution.tabulated((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0)),  # tent
+    ContinuousDistribution.tabulated((-1.0, 1.0), (0.5, 0.5)),  # uniform
+]
+SOLVERS = {
+    "rational": lambda asset, prefs, utility, bounds: rational_alpha(asset, utility, bounds),
+    "naive": naive_alpha,
+    "sophisticated": sophisticated_alpha,
+}
+FIELDS = ("alpha", "value", "r_ce", "belief_expectation", "converged", "iterations")
+
+
+def cases():
+    """``(asset, prefs, utility)`` triples, in a fixed order."""
+    yield from naive_corpus()
+    yield from eta_corpus()
+    yield from naive_corpus(seed=7, per_cell=20)
+    for asset in [NORMAL_ASSET, *(Asset(1.0, excess) for excess in SYMMETRIC)]:
+        for utility in UTILITIES:
+            for eta in ETAS:
+                yield asset, Preferences(eta=eta, lambda0=2.25), utility
+
+
+def main():
+    for case, (asset, prefs, utility) in enumerate(cases()):
+        for bounds in BOUNDS:
+            for agent, solve in SOLVERS.items():
+                line = {"case": case, "bounds": bounds, "agent": agent}
+                try:
+                    sol = solve(asset, prefs, utility, bounds)
+                except (ArithmeticError, ValueError) as exc:
+                    line["error"] = f"{type(exc).__name__}: {exc}"
+                else:
+                    line.update((name, getattr(sol, name)) for name in FIELDS)
+                print(json.dumps(line))
+
+
+if __name__ == "__main__":
+    main()
