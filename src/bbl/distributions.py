@@ -13,14 +13,20 @@ The two quantities everything else is assembled from are
 * ``partial_expectation(dist, a)`` -- the lower partial moment
   ``integral of z * f(z) below a``.
 
-Both are exact.  A tabulated density is linear on each cell, so its mass and
-first moment are prefix tables built once per distribution plus one cell's
-closed form, and its quantile is one cell's quadratic root.  Normal and
-mixture kinds use the closed-form cdf (``0.5 * erfc``, accurate in the lower
-tail) and partial moment, with the quantile found by safeguarded Newton steps
-that evaluate cdf and density with ``math``, started from Wichura's AS241
-normal quantile: one step for a normal.  Each normal or mixture computes its
-support, Newton constants and per-component constants once, at construction.
+Both are exact, and each has one implementation: a private column kernel,
+``ContinuousDistribution._quantiles(ps)`` and ``._lower_moments(xs)``, that takes
+a whole column of probabilities or bounds, dispatches on the kind once and reads
+the distribution's constants once.  The scalar ``quantile``,
+``partial_expectation`` and ``partial_expectation_closed_form`` are their checks
+plus a one-element call; ``equilibrium.sweep`` calls each kernel once for all
+its rows.  A tabulated density is linear on each cell, so its mass and first
+moment are prefix tables built once per distribution plus one cell's closed
+form, and its quantile is one cell's quadratic root.  Normal and mixture kinds
+use the closed-form cdf (``0.5 * erfc``, accurate in the lower tail) and partial
+moment, with the quantile found by safeguarded Newton steps that evaluate cdf
+and density with ``math``, started from Wichura's AS241 normal quantile: one
+step for a normal.  Each normal or mixture computes its support, Newton
+constants and per-component constants once, at construction.
 Gauss-Legendre panel quadrature (``quad_nodes``, the array density's caller)
 serves only the portfolio solvers and the cross-check against the closed forms:
 one read-only panel set over the whole support, built on first use (a tabulated
@@ -52,7 +58,6 @@ __all__ = [
     "partial_expectation_closed_form",
     "naive_value",
     "sophisticated_value",
-    "sophisticated_value_at",
     "compare",
     "PREFER_A",
     "PREFER_B",
@@ -320,25 +325,18 @@ class ContinuousDistribution:
                 out += w * _norm_pdf(z, mean, sd, sd_sqrt_2pi)
         return out if scalar or z.ndim else float(out)
 
-    def _cell_head(self, z: float) -> tuple[float, float]:
-        """Mass and first moment of a tabulated density from ``grid[0]`` to an
-        interior point ``z``: prefix tables up to z's cell plus that cell's closed form."""
-        cells = self._cells
-        i = bisect_right(self.grid, z, 1, len(self.grid) - 1) - 1
-        f0, s, t = self.density[i], cells.slope[i], z - self.grid[i]
-        mass = t * (f0 + 0.5 * s * t)
-        moment = self.grid[i] * mass + t * t * (0.5 * f0 + s * t / 3.0)
-        return cells.mass[i] + mass, cells.moment[i] + moment
-
     def cdf(self, z: float) -> float:
         if self.kind == "tabulated":
             if z <= self.grid[0]:
                 return 0.0
             if z >= self.grid[-1]:
                 return 1.0
-            # the trapezoid mass may exceed 1 by up to _TABULATED_MASS_TOL: clamp so the
-            # cdf never passes its value 1 at the right end
-            return min(self._cell_head(z)[0], 1.0)
+            # the prefix mass up to z's cell plus that cell's closed form; the trapezoid mass
+            # may exceed 1 by up to _TABULATED_MASS_TOL: clamp so the cdf never passes its
+            # value 1 at the right end
+            i = bisect_right(self.grid, z, 1, len(self.grid) - 1) - 1
+            t = z - self.grid[i]
+            return min(self._cells.mass[i] + t * (self.density[i] + 0.5 * self._cells.slope[i] * t), 1.0)
         out = 0.0
         for w, mean, _, sd_sqrt2, _ in self._comps.terms:
             out += w * _norm_cdf(z, mean, sd_sqrt2)
@@ -350,58 +348,101 @@ class ContinuousDistribution:
         return math.fsum(c.weight * c.mean for c in self.components)
 
     def quantile(self, p: float) -> float:
-        """Smallest z on the effective support with cdf(z) >= p.
-
-        Tabulated: the root of one cell's quadratic cdf.  Normal and mixture:
-        Newton steps (one ``cdf`` and one float ``pdf`` call each, no numpy) from
-        the AS241 standard normal quantile, inside a bracket of the support,
-        bisecting wherever Newton would leave the bracket.  The cdf is
-        ``0.5 * erfc``, accurate in the lower tail, so a normal's first step
-        lands within the tolerance: one ``cdf`` call from p = 1e-12 to 1 - 1e-6.
-        """
+        """Smallest z on the effective support with cdf(z) >= p: the column kernel
+        ``_quantiles`` on the one probability, after DomainError for ``p`` outside (0, 1)."""
         if not 0.0 < p < 1.0:
             raise DomainError(f"quantile defined only for probabilities in (0, 1), got {p}")
-        if self.kind == "tabulated":
-            return self._tabulated_quantile(p)
-        comps = self._comps
-        (s_lo, s_hi), tol, pad = comps.support, comps.tol, comps.pad
-        # The quantile lies between the smallest and largest component quantile,
-        # widened by the pad.
-        z_p = _norm_quantile(p)
-        q = [mean + sd * z_p for _, mean, sd, _, _ in comps.terms]
-        lo = min(max(min(q) - pad, s_lo), s_hi)
-        hi = min(max(max(q) + pad, s_lo), s_hi)
-        x = min(max(math.fsum([term[0] * qi for term, qi in zip(comps.terms, q)]), lo), hi)
-        for _ in range(_NEWTON_MAX_ITER):
-            r = self.cdf(x) - p
-            if r == 0.0:
-                return x
-            if r < 0.0:
-                lo = x
-            else:
-                hi = x
-            density = self.pdf(x)
-            nxt = x - r / density if density > 0.0 else math.inf
-            if abs(nxt - x) > tol and not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi)
-            if abs(nxt - x) <= tol:
-                return nxt
-            x = nxt
-        return x
+        return self._quantiles((p,))[0]
 
-    def _tabulated_quantile(self, p: float) -> float:
-        mass = self._cells.mass
-        k = bisect_left(mass, p)
-        if k == len(mass):
-            return self.grid[-1]
-        if mass[k] == p:
-            return self.grid[k]
-        i = k - 1
-        r = p - mass[i]
-        f0 = self.density[i]
-        # stable root of f0*d + slope*d^2/2 = r on cell i, which holds mass >= r > 0
-        d = 2.0 * r / (f0 + math.sqrt(max(f0 * f0 + 2.0 * self._cells.slope[i] * r, 0.0)))
-        return min(self.grid[i] + d, self.grid[i + 1])
+    def _quantiles(self, ps) -> list[float]:
+        """``quantile`` at each of ``ps``, all in (0, 1) and unchecked, in order.
+
+        Tabulated: the root of one cell's quadratic cdf.  Normal and mixture:
+        Newton steps (one ``cdf`` call each, and the density summed as ``pdf`` sums
+        it, no numpy) from the AS241 standard normal quantile, inside a bracket of
+        the support, bisecting wherever Newton would leave the bracket.  The cdf is
+        ``0.5 * erfc``, accurate in the lower tail, so a normal's first step lands
+        within the tolerance: one ``cdf`` call from p = 1e-12 to 1 - 1e-6.  After
+        ``_NEWTON_MAX_ITER`` steps the last iterate is returned.
+        """
+        out = []
+        if self.kind == "tabulated":
+            grid, f, slope, mass = self.grid, self.density, self._cells.slope, self._cells.mass
+            for p in ps:
+                k = bisect_left(mass, p)
+                if k == len(mass):
+                    out.append(grid[-1])
+                elif mass[k] == p:
+                    out.append(grid[k])
+                else:
+                    i = k - 1
+                    r = p - mass[i]
+                    f0 = f[i]
+                    # stable root of f0*d + slope*d^2/2 = r on cell i, which holds mass >= r > 0
+                    d = 2.0 * r / (f0 + math.sqrt(max(f0 * f0 + 2.0 * slope[i] * r, 0.0)))
+                    out.append(min(grid[i] + d, grid[i + 1]))
+            return out
+        comps, cdf = self._comps, self.cdf
+        (s_lo, s_hi), tol, pad, terms = comps.support, comps.tol, comps.pad, comps.terms
+        for p in ps:
+            # The quantile lies between the smallest and largest component quantile,
+            # widened by the pad.
+            z_p = _norm_quantile(p)
+            q = [mean + sd * z_p for _, mean, sd, _, _ in terms]
+            lo = min(max(min(q) - pad, s_lo), s_hi)
+            hi = min(max(max(q) + pad, s_lo), s_hi)
+            x = min(max(math.fsum([term[0] * qi for term, qi in zip(terms, q)]), lo), hi)
+            for _ in range(_NEWTON_MAX_ITER):
+                r = cdf(x) - p
+                if r == 0.0:
+                    break
+                if r < 0.0:
+                    lo = x
+                else:
+                    hi = x
+                density = 0.0
+                for w, mean, sd, _, sd_sqrt_2pi in terms:
+                    t = (x - mean) / sd
+                    density += w * (math.exp(-0.5 * t * t) / sd_sqrt_2pi)
+                nxt = x - r / density if density > 0.0 else math.inf
+                if abs(nxt - x) > tol and not lo < nxt < hi:
+                    nxt = 0.5 * (lo + hi)
+                converged, x = abs(nxt - x) <= tol, nxt
+                if converged:
+                    break
+            out.append(x)
+        return out
+
+    def _lower_moments(self, xs) -> list[float]:
+        """``partial_expectation`` at each of the finite bounds ``xs``, unchecked, in order.
+
+        Tabulated: the prefix moment table up to the bound's cell plus that cell's
+        closed form.  Normal and mixture: each component's closed form
+        ``mean * Phi(t) - sd * phi(t)`` at ``t = (a - mean) / sd``, weighted and summed.
+        """
+        out = []
+        if self.kind == "tabulated":
+            grid, f, slope, cells = self.grid, self.density, self._cells.slope, self._cells
+            first, last, top = grid[0], grid[-1], len(grid) - 1
+            for a in xs:
+                if a <= first:
+                    out.append(0.0)
+                elif a >= last:
+                    out.append(cells.moment[-1])
+                else:
+                    i = bisect_right(grid, a, 1, top) - 1
+                    f0, s, t = f[i], slope[i], a - grid[i]
+                    mass = t * (f0 + 0.5 * s * t)
+                    out.append(cells.moment[i] + (grid[i] * mass + t * t * (0.5 * f0 + s * t / 3.0)))
+            return out
+        terms = self._comps.terms
+        for a in xs:
+            acc = 0.0
+            for w, mean, sd, _, _ in terms:
+                t = (a - mean) / sd
+                acc += w * (mean * (0.5 * math.erfc(-t / _SQRT2)) - sd * (math.exp(-0.5 * t * t) / _SQRT_2PI))
+            out.append(acc)
+        return out
 
     # ---- quadrature ----------------------------------------------------
 
@@ -485,24 +526,14 @@ def partial_expectation(dist: ContinuousDistribution, a: float) -> float:
     """Lower partial moment ``integral of z f(z) below a``, exact for every kind."""
     if not math.isfinite(a):
         raise ValueError(f"partial expectation needs a finite bound, got {a}")
-    if dist.kind != "tabulated":
-        return partial_expectation_closed_form(dist, a)
-    if a <= dist.grid[0]:
-        return 0.0
-    if a >= dist.grid[-1]:
-        return dist.mean()
-    return dist._cell_head(a)[1]
+    return dist._lower_moments((a,))[0]
 
 
 def partial_expectation_closed_form(dist: ContinuousDistribution, a: float) -> float:
     """Closed-form lower partial moment for normal and mixture kinds."""
     if dist.kind == "tabulated":
         raise ValueError("closed-form partial expectation requires a normal or mixture kind")
-    acc = 0.0
-    for w, mean, sd, _, _ in dist._comps.terms:
-        t = (a - mean) / sd
-        acc += w * (mean * _norm_cdf(t, 0.0, _SQRT2) - sd * _norm_pdf(t, 0.0, 1.0, _SQRT_2PI))
-    return float(acc)
+    return dist._lower_moments((a,))[0]
 
 
 def naive_value(dist: ContinuousDistribution, prefs: Preferences) -> float:
@@ -521,13 +552,8 @@ def sophisticated_value(dist: ContinuousDistribution, prefs: Preferences) -> flo
     leaving the objective mean plus an extra ``(lambda-1)`` weighting of the
     loss region below the subjective expectation (payoffs valued linearly).
     """
-    return sophisticated_value_at(dist, prefs.eta, prefs.lambda0, naive_value(dist, prefs), dist.mean())
-
-
-def sophisticated_value_at(dist: ContinuousDistribution, eta: float, lambda0: float,
-                           expectation: float, mean: float) -> float:
-    """``sophisticated_value`` at ``(eta, lambda0)``, given the subjective expectation and mean."""
-    return eta * (mean + (lambda0 - 1.0) * partial_expectation(dist, expectation))
+    expectation = naive_value(dist, prefs)
+    return prefs.eta * (dist.mean() + (prefs.lambda0 - 1.0) * partial_expectation(dist, expectation))
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,10 @@ from .distributions import (
     naive_value,
     partial_expectation,
     sophisticated_value,
-    sophisticated_value_at,
     subjective_expectation,
 )
 from .errors import _finite
-from .preferences import Preferences, _cutoff, _eta, _loss_aversion
+from .preferences import Preferences, _loss_aversion
 
 __all__ = [
     "EquilibriumPoint",
@@ -102,10 +101,13 @@ def sweep(dist: ContinuousDistribution, lambda0: float,
           p_star_grid: Iterable[float] | None = None) -> list[EquilibriumPoint]:
     """Equilibrium prices across a grid of cutoffs at fixed ``lambda0``.
 
-    Validates the grid, then ``lambda0``, once (with the errors of ``eta_for_cutoff``);
-    each row is then one subjective expectation and one partial moment.  The cutoff
-    takes the round trip ``p_star -> eta -> cutoff_probability``, so each row equals
-    ``naive_price`` and ``sophisticated_price`` at ``Preferences(eta, lambda0)``.
+    Validates the grid, then ``lambda0``, once (with the errors of ``eta_for_cutoff``),
+    then each row's cutoff (with the DomainError of ``subjective_expectation``).  The
+    rows are then built column by column: eta, the cutoff, all subjective expectations
+    from one call of the distribution's quantile kernel and all partial moments from one
+    call of its lower-moment kernel, with no Python-level call per row.  The cutoff takes
+    the round trip ``p_star -> eta -> cutoff_probability``, so each row equals
+    ``naive_price`` and ``sophisticated_price`` at ``Preferences(eta, lambda0)``, bit for bit.
     """
     grid = tuple(p_star_grid) if p_star_grid is not None else _DEFAULT_GRID
     if not grid:
@@ -113,14 +115,19 @@ def sweep(dist: ContinuousDistribution, lambda0: float,
     if any(not 0.0 < p < 1.0 for p in grid):
         raise ValueError("p_star grid must lie strictly inside (0, 1)")
     lambda0 = _loss_aversion(lambda0)
+    p_stars, loss_weight = sorted(grid), lambda0 - 1.0
+    # preferences._eta and then preferences._cutoff of each row, inline
+    etas = [1.0 / (lambda0 - float(p_star) * loss_weight) for p_star in p_stars]
+    cutoffs = [(eta * lambda0 - 1.0) / (eta * loss_weight) for eta in etas]
+    for cutoff in cutoffs:
+        if not 0.0 < 1.0 - cutoff < 1.0:
+            subjective_expectation(dist, cutoff)  # raises the row's DomainError
     mean = dist.mean()
-    points = []
-    for p_star in sorted(grid):
-        eta = _eta(float(p_star), lambda0)
-        expectation = subjective_expectation(dist, _cutoff(eta, lambda0))
-        points.append(EquilibriumPoint(p_star, eta, eta * mean, eta * expectation,
-                                       sophisticated_value_at(dist, eta, lambda0, expectation, mean)))
-    return points
+    expectations = dist._quantiles([1.0 - cutoff for cutoff in cutoffs])
+    moments = dist._lower_moments(expectations)
+    # tuple.__new__ skips the Python-level EquilibriumPoint.__new__ of each row
+    return [tuple.__new__(EquilibriumPoint, (p_star, eta, eta * mean, eta * a, eta * (mean + loss_weight * moment)))
+            for p_star, eta, a, moment in zip(p_stars, etas, expectations, moments)]
 
 
 def sweep_thresholds(dist: ContinuousDistribution, lambda0: float) -> dict:

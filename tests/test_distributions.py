@@ -171,6 +171,26 @@ class TestPartialExpectation:
             partial_expectation_closed_form(tab, 1.0)
 
 
+KINDS = {"normal": N11, "mixture": SKEWED,
+         "tabulated": ContinuousDistribution.tabulated((0.0, 1.0, 2.0), (0.0, 1.0, 0.0))}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestScalarChecks:
+    """``quantile`` and ``partial_expectation`` check their argument, then run the column
+    kernel on it; each error message carries the bad value."""
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.25, 1.5, math.nan, math.inf])
+    def test_quantile_outside_unit_interval(self, kind, p):
+        with pytest.raises(DomainError, match=rf"in \(0, 1\), got {re.escape(str(p))}$"):
+            KINDS[kind].quantile(p)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_partial_expectation_non_finite_bound(self, kind, a):
+        with pytest.raises(ValueError, match=rf"finite bound, got {re.escape(str(a))}$"):
+            partial_expectation(KINDS[kind], a)
+
+
 class TestTabulated:
     TRIANGLE = ContinuousDistribution.tabulated((0.0, 1.0, 2.0), (0.0, 1.0, 0.0))
 
@@ -368,6 +388,21 @@ class TestExactKernel:
                 worst = max(worst, cdf_calls[0])
                 assert q == pytest.approx(erf_bisection_quantile(dist, p), abs=1e-12)
         assert worst <= 12
+
+    def test_step_cap_returns_the_last_iterate(self, cdf_calls, monkeypatch):
+        """A mixture quantile that takes several Newton steps, cut at one: one cdf call,
+        and that step's iterate comes back, inside the component-quantile bracket."""
+        p = 0.01
+        cdf_calls[0] = 0
+        converged = SKEWED.quantile(p)
+        assert cdf_calls[0] > 2
+        monkeypatch.setattr("bbl.distributions._NEWTON_MAX_ITER", 1)
+        cdf_calls[0] = 0
+        capped = SKEWED.quantile(p)
+        assert cdf_calls[0] == 1
+        assert capped != converged
+        q = [c.mean + c.sd * _norm_quantile(p) for c in SKEWED.components]
+        assert min(q) - 1e-3 <= capped <= max(q) + 1e-3
 
 
 class TestFloatDensity:

@@ -112,6 +112,15 @@ class TestPrices:
             naive_price(N11, Preferences(eta=1.0, lambda0=LAM))
 
 
+@pytest.fixture
+def quantiles(monkeypatch):
+    """The columns of probabilities passed to ``ContinuousDistribution._quantiles``, in call order."""
+    calls = []
+    kernel = ContinuousDistribution._quantiles
+    monkeypatch.setattr(ContinuousDistribution, "_quantiles", lambda dist, ps: calls.append(ps) or kernel(dist, ps))
+    return calls
+
+
 @pytest.fixture(scope="module")
 def figure_sweep():
     return sweep(N11, LAM, default_grid())
@@ -194,9 +203,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("dist, lam", sweep_corpus(15, 30), ids=lambda v: getattr(v, "kind", ""))
     def test_rows_equal_the_per_row_prices(self, dist, lam):
-        """The sweep prices rows from the kernels directly; each row still equals the
-        public per-row functions at ``Preferences(eta_for_cutoff(p_star, lambda), lambda)``."""
-        rel = 0.0 if dist.kind == "tabulated" else 1e-13
+        """The sweep prices rows from the column kernels; each row still equals the
+        public per-row functions at ``Preferences(eta_for_cutoff(p_star, lambda), lambda)``,
+        bit for bit, for every kind."""
         mean = dist.mean()
         rows = sweep(dist, lam)
         assert [pt.p_star for pt in rows] == list(default_grid())
@@ -205,17 +214,13 @@ class TestSweep:
             prefs = Preferences(eta, lam)
             assert pt.eta == eta
             assert pt.pi_rational == eta * mean
-            assert pt.pi_naive == pytest.approx(naive_price(dist, prefs), rel=rel, abs=0.0)
-            assert pt.pi_sophisticated == pytest.approx(sophisticated_price(dist, prefs), rel=rel, abs=0.0)
+            assert pt.pi_naive == naive_price(dist, prefs)
+            assert pt.pi_sophisticated == sophisticated_price(dist, prefs)
 
     @pytest.mark.parametrize("lam", [1.0, 0.5, math.nan, math.inf])
-    def test_lambda_validated_once_before_any_row(self, lam, monkeypatch):
+    def test_lambda_validated_once_before_any_row(self, lam, quantiles):
         with pytest.raises(ValueError) as want:
             eta_for_cutoff(0.5, lam)
-        quantiles = []
-        quantile = ContinuousDistribution.quantile
-        monkeypatch.setattr(ContinuousDistribution, "quantile",
-                            lambda dist, p: quantiles.append(p) or quantile(dist, p))
         for dist, _ in sweep_corpus(16, 1):
             with pytest.raises(ValueError) as got:
                 sweep(dist, lam)
@@ -224,6 +229,19 @@ class TestSweep:
         assert quantiles == []
         with pytest.raises(ValueError, match="empty"):  # the grid is checked first
             sweep(N11, lam, [])
+        sweep(N11, LAM)  # the spy sees a valid sweep: one kernel call for all 91 rows
+        assert [len(ps) for ps in quantiles] == [91]
+
+    def test_row_cutoff_checked_before_any_row_is_priced(self, quantiles):
+        """At lambda 1.5 the cutoff of p_star = 1 - 2**-53 rounds to 1: the sweep raises the
+        DomainError of ``subjective_expectation`` at that cutoff, and prices no row first."""
+        with pytest.raises(DomainError) as want:
+            subjective_expectation(N11, 1.0)
+        for dist, _ in sweep_corpus(17, 1):
+            with pytest.raises(DomainError) as got:
+                sweep(dist, 1.5, [1.0 - 2.0 ** -53, 0.5])
+            assert str(got.value) == str(want.value)
+        assert quantiles == []
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

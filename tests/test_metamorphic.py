@@ -164,3 +164,22 @@ def test_mean_shift_moves_quantiles_and_prices(kind):
                 assert abs(moved_row.pi_naive - row.pi_naive - row.eta * c) <= 1e-14 * width
                 assert abs(moved_row.pi_sophisticated - row.pi_sophisticated
                            - row.eta * (c + (lam - 1.0) * c * below)) <= 3e-13 * width
+
+
+@pytest.mark.parametrize("w, tol", [(0.5, 0.0), (0.25, 0.0), (0.3, 4e-15), (0.7, 4e-15)])
+def test_mixture_of_identical_components_sweeps_as_the_normal(w, tol):
+    """A normal split into two components ``(w, 1 - w)`` with its own mean and sd is the same
+    density, so its sweep is the normal's.  Dyadic weights scale each component's terms
+    exactly, and the rows are bit-identical.  Other weights round those terms: the worst row
+    error, as a fraction of ``max(|mean|, sd)``, measured 1.8e-15 for w = 0.3 and 1.1e-15 for
+    w = 0.7 over these 200 cases, and at most 1.6e-15 over 300 cases each on seeds 1-3.
+    """
+    rng = np.random.default_rng(20261022)
+    for _ in range(200):
+        mean, sd, lam = float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.05, 3.0)), float(rng.uniform(1.05, 4.0))
+        rows = sweep(ContinuousDistribution.normal(mean, sd), lam)
+        split = sweep(ContinuousDistribution.mixture([(w, mean, sd), (1.0 - w, mean, sd)]), lam)
+        for row, split_row in zip(rows, split):
+            assert split_row[:2] == row[:2]
+            for got, want in zip(split_row[2:], row[2:]):
+                assert abs(got - want) <= tol * max(abs(mean), sd)

@@ -1,14 +1,21 @@
-"""Print one JSON line per portfolio solve over a fixed set of inputs, so that two trees
-can be compared with ``diff``.
+"""Print one JSON line per portfolio solve, sweep row, sweep threshold and lottery
+comparison over a fixed set of inputs, so that two trees can be compared with ``diff``.
 
-The inputs are the seeded corpora of ``tests/test_portfolio.py`` (``naive_corpus()``,
-``eta_corpus()`` and ``naive_corpus(seed=7, per_cell=20)``), the README asset and five
-zero-mean symmetric assets under linear, log and power rho = 2 utility at eta 0.50 to 0.90
-in steps of 0.05 (lambda 2.25), each solved on eight bounds by the three agents.  Each
-line holds the case index, the bounds, the agent and the solution's ``alpha``, ``value``,
-``r_ce``, ``belief_expectation``, ``converged`` and ``iterations``, floats written by
-``repr``; a solve that raises gives its error instead.  No options.  From the repository
-root:
+The portfolio inputs are the seeded corpora of ``tests/test_portfolio.py``
+(``naive_corpus()``, ``eta_corpus()`` and ``naive_corpus(seed=7, per_cell=20)``), the README
+asset and five zero-mean symmetric assets under linear, log and power rho = 2 utility at eta
+0.50 to 0.90 in steps of 0.05 (lambda 2.25), each solved on eight bounds by the three agents.
+Each line holds the case index, the bounds, the agent and the solution's ``alpha``,
+``value``, ``r_ce``, ``belief_expectation``, ``converged`` and ``iterations``.
+
+The pricing inputs are the seeded normal, mixture and tabulated densities of
+``tests/test_equilibrium.py``: each of ``sweep_corpus(15, 10)`` swept at its own lambda on
+the default grid and on ``0.001:0.999:0.001`` (one line per row), each of
+``threshold_corpus(23, 20)`` given its ``sweep_thresholds`` at lambda 2.25, and each
+neighbouring pair of it compared by the naive and the sophisticated agent at five cutoffs.
+
+Floats are written by ``repr``; a call that raises gives its error instead.  No options.
+From the repository root:
 
     PYTHONPATH=src python tools/solve_dump.py > solves.jsonl
 """
@@ -19,9 +26,20 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
+from test_equilibrium import sweep_corpus, threshold_corpus  # noqa: E402
 from test_portfolio import NORMAL_ASSET, eta_corpus, naive_corpus  # noqa: E402
 
-from bbl import Asset, ConsumptionUtility, ContinuousDistribution, Preferences  # noqa: E402
+from bbl import (  # noqa: E402
+    Asset,
+    ConsumptionUtility,
+    ContinuousDistribution,
+    Preferences,
+    compare,
+    default_grid,
+    eta_for_cutoff,
+    sweep,
+    sweep_thresholds,
+)
 from bbl.portfolio import naive_alpha, rational_alpha, sophisticated_alpha  # noqa: E402
 
 BOUNDS = [(-10.0, 10.0), (0.0, 10.0), (-10.0, 0.0), (0.0, 0.0), (0.3, 0.3), (0.3, 1.0),
@@ -41,6 +59,9 @@ SOLVERS = {
     "sophisticated": sophisticated_alpha,
 }
 FIELDS = ("alpha", "value", "r_ce", "belief_expectation", "converged", "iterations")
+GRIDS = {"default": None, "fine": default_grid(0.001, 0.999, 0.001)}
+LAMBDA = 2.25
+CUTOFFS = (0.05, 0.3, 0.5, 0.7, 0.95)
 
 
 def cases():
@@ -65,6 +86,23 @@ def main():
                     line["error"] = f"{type(exc).__name__}: {exc}"
                 else:
                     line.update((name, getattr(sol, name)) for name in FIELDS)
+                print(json.dumps(line))
+    for case, (dist, lam) in enumerate(sweep_corpus(15, 10)):
+        for grid, p_stars in GRIDS.items():
+            for row in sweep(dist, lam, p_stars):
+                print(json.dumps({"sweep": case, "lambda": lam, "grid": grid, **row.to_dict()}))
+    dists = threshold_corpus(23, 20)
+    for case, dist in enumerate(dists):
+        print(json.dumps({"thresholds": case, "lambda": LAMBDA, **sweep_thresholds(dist, LAMBDA)}))
+    for case, pair in enumerate(zip(dists, dists[1:])):
+        for p_star in CUTOFFS:
+            prefs = Preferences(eta=eta_for_cutoff(p_star, LAMBDA), lambda0=LAMBDA)
+            for agent in ("naive", "sophisticated"):
+                line = {"compare": case, "p_star": p_star, "agent": agent}
+                try:
+                    line.update(compare(*pair, prefs, agent).to_dict())
+                except (ArithmeticError, ValueError) as exc:
+                    line["error"] = f"{type(exc).__name__}: {exc}"
                 print(json.dumps(line))
 
 
