@@ -67,6 +67,12 @@ class TestLottery:
             expected = [marginal(float(v)) for v in z]
             assert utility.marginal_array(z) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
+    def test_power_inverse_outside_range_names_the_level(self):
+        # rho > 1 maps payoffs to negative levels only; rho < 1 to nonnegative ones
+        for rho, level in ((2.0, 0.5), (0.5, -0.25)):
+            with pytest.raises(DomainError, match=rf"utility level {level} outside .* rho={rho}"):
+                ConsumptionUtility("power", rho).inverse(level)
+
     def test_log_domain(self):
         with pytest.raises(DomainError):
             DiscreteLottery((0.0, 1.0), (0.5, 0.5), ConsumptionUtility("log")).utilities

@@ -23,6 +23,8 @@ from bbl import (
 )
 from bbl.equilibrium import CSV_COLUMNS
 
+from conftest import normal_partial
+
 N11 = ContinuousDistribution.normal(1.0, 1.0)
 LAM = 2.25
 
@@ -65,12 +67,6 @@ def sweep_corpus(seed, count):
 
 def prefs_for(p_star):
     return Preferences(eta=eta_for_cutoff(p_star, LAM), lambda0=LAM)
-
-
-def normal_partial(mean, sd, a):
-    t = (a - mean) / sd
-    return mean * 0.5 * (1.0 + math.erf(t / math.sqrt(2.0))) - \
-        sd * math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
 
 
 class TestPrices:

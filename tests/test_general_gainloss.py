@@ -147,3 +147,8 @@ def test_general_solver_rejects_linear_spec():
     with pytest.raises(ValueError):
         general_residual_solve(DiscreteLottery((0.0, 1.0), (0.5, 0.5)),
                                Preferences(eta=0.8, lambda0=2.25))
+
+
+def test_general_solver_refuses_one_payoff():
+    with pytest.raises(ValueError, match="two distinct payoffs"):
+        solve_optimal_beliefs(DiscreteLottery((1.0, 1.0), (0.5, 0.5)), general_prefs(0.7, 2.25, beta=0.9, kappa=2.0))

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,11 @@ class TestGridSearchAlpha:
         with pytest.raises(ValueError):
             grid_search_alpha(lambda a: -a * a, (0.0, 1.0), 500)
 
+    @pytest.mark.parametrize("bounds", [(1.0, 0.0), (0.5, 0.5)])
+    def test_requires_ordered_bounds(self, bounds):
+        with pytest.raises(ValueError, match=re.escape(f"bounds must satisfy lo < hi, got {bounds}")):
+            grid_search_alpha(lambda a: -a * a, bounds)
+
 
 class TestSimpson:
     def test_polynomial_exact(self):
@@ -158,3 +164,13 @@ class TestSimpson:
 
     def test_empty_interval(self):
         assert simpson_integral(lambda x: x, 1.0, 1.0) == 0.0
+
+    def test_even_node_count_takes_the_next_odd(self):
+        fn = lambda x: np.exp(np.sin(3.0 * x))
+        assert simpson_integral(fn, -0.4, 1.3, 4) == simpson_integral(fn, -0.4, 1.3, 5)
+        assert simpson_integral(fn, -0.4, 1.3, 4) != simpson_integral(fn, -0.4, 1.3, 3)
+
+    @pytest.mark.parametrize("n", [2, 1, 0, -3])
+    def test_too_few_nodes_named(self, n):
+        with pytest.raises(ValueError, match=rf"at least 3 nodes, got {n}$"):
+            simpson_integral(lambda x: x, 0.0, 1.0, n)

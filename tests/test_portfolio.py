@@ -1,4 +1,5 @@
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -910,6 +911,19 @@ class TestNonFiniteBounds:
                       lambda: sophisticated_alpha(NORMAL_ASSET, prefs, utility, bounds),
                       lambda: grid_search_alpha(rational_objective(NORMAL_ASSET, utility), bounds)):
             with pytest.raises(ValueError, match=name):
+                solve()
+
+
+class TestBoundsOrder:
+    """Bounds with ``lo > hi`` are an input error that quotes them, for every agent and utility."""
+
+    @pytest.mark.parametrize("utility", [LINEAR, ConsumptionUtility("power", 2.0)])
+    def test_every_agent_names_the_bounds(self, utility):
+        prefs, bounds = prefs_for(0.6), (0.5, -0.5)
+        for solve in (lambda: rational_alpha(NORMAL_ASSET, utility, bounds),
+                      lambda: naive_alpha(NORMAL_ASSET, prefs, utility, bounds),
+                      lambda: sophisticated_alpha(NORMAL_ASSET, prefs, utility, bounds)):
+            with pytest.raises(ValueError, match=re.escape("bounds must satisfy lo <= hi, got (0.5, -0.5)")):
                 solve()
 
 

@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import bbl.timing
 from bbl import (
     DiscreteLottery,
+    GainLossSpec,
     Preferences,
     cutoff_probability,
     gain_probability,
@@ -13,6 +16,7 @@ from bbl import (
     utility_early,
     utility_wait,
 )
+from bbl.preferences import _verdict
 
 from conftest import random_lottery, random_prefs
 
@@ -93,6 +97,45 @@ class TestVerdict:
                 assert v.u_wait - v.u_early > 1e-10
             else:
                 assert abs(v.u_early - v.u_wait) <= 1e-10
+
+
+def timing_corpus(seed=20261026, size=600, sizes=(2, 3, 4, 5, 8, 13, 21, 30)):
+    """Seeded lotteries of ``sizes`` states, each with linear (two in three) or general
+    gain-loss preferences and gamma in [0, 1]."""
+    rng = np.random.default_rng(seed)
+    for k in range(size):
+        lot = random_lottery(rng, sizes=sizes)
+        gamma = float(rng.choice((0.0, 1.0, rng.uniform(0.0, 1.0))))
+        if k % 3:
+            prefs = replace(random_prefs(rng), gamma=gamma)
+        else:
+            eta = rng.uniform(0.5, 0.9)
+            spec = GainLossSpec.general(rng.uniform(0.8, min(1.2, 0.98 / eta)), np.exp(rng.uniform(-0.7, 3.0)))
+            prefs = Preferences(eta=eta, lambda0=rng.uniform(1.5, 3.5), gamma=gamma, gain_loss=spec)
+        yield lot, prefs
+
+
+def test_verdict_is_exactly_the_two_utilities_at_the_solver_beliefs(monkeypatch):
+    """``timing_preference`` reuses the solver's ``total_utility`` as ``u_wait`` when the
+    solver's ``q`` sums to its own expectation, and computes it otherwise; either way both
+    utilities are bit-identical to ``utility_early`` and ``utility_wait`` at that ``q``."""
+    recomputed = []
+    at_expectation = bbl.timing._utility_at_expectation
+    monkeypatch.setattr(bbl.timing, "_utility_at_expectation",
+                        lambda *args: recomputed.append(args) or at_expectation(*args))
+    kinds = {"linear": 0, "general": 0}
+    for lot, prefs in timing_corpus():
+        q = solve_optimal_beliefs(lot, prefs).q
+        before = len(recomputed)
+        v = timing_preference(lot, prefs)
+        assert len(recomputed) - before <= 1
+        kinds[prefs.gain_loss.kind] += 1
+        assert v.u_early == utility_early(lot, q, prefs)
+        assert v.u_wait == utility_wait(lot, q, prefs)
+        assert v.verdict == _verdict(v.u_early - v.u_wait, "early", "wait")
+    reused = sum(kinds.values()) - len(recomputed)
+    assert kinds["linear"] > 300 and kinds["general"] > 150
+    assert reused > 100 and len(recomputed) > 100
 
 
 class TestConditionD:

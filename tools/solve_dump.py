@@ -1,5 +1,6 @@
-"""Print one JSON line per portfolio solve, sweep row, sweep threshold and lottery
-comparison over a fixed set of inputs, so that two trees can be compared with ``diff``.
+"""Print one JSON line per portfolio solve, sweep row, sweep threshold, lottery comparison,
+discrete belief solve and timing verdict over a fixed set of inputs, so that two trees can be
+compared with ``diff``.
 
 The portfolio inputs are the seeded corpora of ``tests/test_portfolio.py``
 (``naive_corpus()``, ``eta_corpus()`` and ``naive_corpus(seed=7, per_cell=20)``), the README
@@ -13,6 +14,10 @@ The pricing inputs are the seeded normal, mixture and tabulated densities of
 the default grid and on ``0.001:0.999:0.001`` (one line per row), each of
 ``threshold_corpus(23, 20)`` given its ``sweep_thresholds`` at lambda 2.25, and each
 neighbouring pair of it compared by the naive and the sophisticated agent at five cutoffs.
+
+The discrete inputs are the seeded lotteries of ``tests/test_timing.py``, linear and general
+gain-loss: ``timing_corpus()`` (2 to 30 states) and ``timing_corpus(seed=7, size=60, sizes=(50,
+75, 100))``; each gives one line for ``solve_optimal_beliefs`` and one for ``timing_preference``.
 
 Floats are written by ``repr``; a call that raises gives its error instead.  No options.
 From the repository root:
@@ -28,6 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from test_equilibrium import sweep_corpus, threshold_corpus  # noqa: E402
 from test_portfolio import NORMAL_ASSET, eta_corpus, naive_corpus  # noqa: E402
+from test_timing import timing_corpus  # noqa: E402
 
 from bbl import (  # noqa: E402
     Asset,
@@ -37,8 +43,10 @@ from bbl import (  # noqa: E402
     compare,
     default_grid,
     eta_for_cutoff,
+    solve_optimal_beliefs,
     sweep,
     sweep_thresholds,
+    timing_preference,
 )
 from bbl.portfolio import naive_alpha, rational_alpha, sophisticated_alpha  # noqa: E402
 
@@ -104,6 +112,10 @@ def main():
                 except (ArithmeticError, ValueError) as exc:
                     line["error"] = f"{type(exc).__name__}: {exc}"
                 print(json.dumps(line))
+    lotteries = [*timing_corpus(), *timing_corpus(seed=7, size=60, sizes=(50, 75, 100))]
+    for case, (lottery, prefs) in enumerate(lotteries):
+        print(json.dumps({"beliefs": case, **solve_optimal_beliefs(lottery, prefs).to_dict()}))
+        print(json.dumps({"timing": case, **timing_preference(lottery, prefs).to_dict()}))
 
 
 if __name__ == "__main__":
