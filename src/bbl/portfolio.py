@@ -10,11 +10,12 @@ excess distribution with positive weights ``W``:
   weighted by ``lambda``.  A region ending at 0 whose slope there points into 0
   has its best share at 0 and is not searched;
 * ``naive_alpha``         -- a fixed point: the share is the maximizer under the
-  beliefs tilted at that share.  On each sign region, a bracketed root of the
-  slope at ``a = alpha`` of utility under the beliefs frozen at ``alpha``, or a
-  bound that slope points past.  A region ending at 0 whose belief cutoff has
-  the sign opposite to its shares holds none, and is not searched.  Where no
-  region holds one and 0 is not a fixed point either, the agent does not trade.
+  beliefs tilted at that share.  On each sign region, a root of the slope at
+  ``a = alpha`` of utility under the beliefs frozen at ``alpha``, bracketed by the
+  region's two ends, or a bound that slope points past.  A region ending at 0
+  whose belief cutoff has the sign opposite to its shares holds none, and is not
+  searched.  Where no region holds one and 0 is not a fixed point either, the
+  agent does not trade.
 
 Both biased agents read one node set per sign region: one split of the panel set
 at its belief cutoff, whose gain and loss weights each agent scales by its own
@@ -56,8 +57,6 @@ __all__ = [
 
 DEFAULT_BOUNDS = (-10.0, 10.0)
 
-_GAP_SAMPLES = 7  # evenly spaced shares per sign region at which the naive solver samples h
-
 
 @dataclass(frozen=True)
 class Asset:
@@ -86,12 +85,12 @@ class PortfolioSolution:
     ``iterations`` counts evaluations of the first-order-condition slope for
     the rational and sophisticated agents (over both sign regions for the
     latter; a region skipped for its closed-form slope at 0 adds none), and the
-    distinct nonzero shares at which the naive agent evaluated
-    ``h``, the slope of the frozen-belief objective at the share itself: the
-    sampled shares, batched or not, and Brent's iterates; 0 where no sign region
-    is searched.  ``value`` is the agent's objective at ``alpha``, term for term:
-    for the naive agent under the beliefs frozen at ``alpha``, as
-    ``naive_fixed_objective`` computes it.  ``converged=False`` is the naive
+    distinct nonzero shares at which the naive agent evaluated ``h``, the slope of
+    the frozen-belief objective at the share itself: the ends of each searched
+    region, 0 excepted, and Brent's iterates; 0 where no sign region is searched.
+    ``value`` is the agent's objective at ``alpha``, term for term: for the naive
+    agent under the beliefs frozen at ``alpha``, as ``naive_fixed_objective``
+    computes it.  ``converged=False`` is the naive
     agent's no-trade verdict: no fixed point but the generalised one at
     ``alpha = 0``, where ``value`` reads the objective beliefs.
     """
@@ -182,8 +181,8 @@ class _AssetGrid:
         return self._once(("region", alpha >= 0), build)
 
     def tilt(self, alpha: float) -> _Tilt:
-        """The tilt and ``h`` at the nonzero share ``alpha``, from one-share kernel calls,
-        each computed once."""
+        """The tilt and ``h`` at the nonzero share ``alpha`` (``_tilt_kernel``), each computed
+        once."""
         tilt = self._tilts.get(alpha)
         if tilt is None:
             tilt = self._tilts[alpha] = _tilt_kernel(self, alpha)
@@ -234,39 +233,26 @@ def sophisticated_objective(asset: Asset, prefs: Preferences,
     return lambda alpha: prefs.eta * _expected_utility(utility, asset.r_f, alpha, *nodes(alpha))
 
 
-def _tilt_kernel(grid: _AssetGrid, shares):
-    """Belief tilt and ``h`` at nonzero ``shares`` of one sign region, in one pass over the
-    region's nodes: a float gives one ``_Tilt``, a 1-D array a list, one per row of one
-    wealth matrix.
+def _tilt_kernel(grid: _AssetGrid, alpha: float) -> _Tilt:
+    """Belief tilt and ``h`` at the nonzero share ``alpha``, in one pass over the nodes of its
+    sign region.
 
     The target subjective expectation is the utility payoff at the cutoff quantile; the
     factors solve the mass and mean constraints on the gain and loss regions; ``h`` is the
     slope in ``a``, at ``a = alpha``, of expected utility under the beliefs tilted at
-    ``alpha``.  A row of a matrix product may round unlike the one-share product, so only
-    one-share tilts are memoised (``_AssetGrid.tilt``) and read for beliefs and values;
-    batched ones give signs and brackets.
+    ``alpha``.
     """
-    one = isinstance(shares, float)
-    alpha = shares if one else float(shares[0])
-    utility, r_f, reg, cut = grid.utility, grid.asset.r_f, grid.region(alpha), grid.cut(alpha)
-    wealth = r_f + (shares if one else shares[:, None]) * reg.x
+    utility, r_f, reg = grid.utility, grid.asset.r_f, grid.region(alpha)
+    wealth = r_f + alpha * reg.x
     if utility.needs_positive_wealth and wealth.min() <= 0:
-        bad = alpha if one else float(shares[np.argmin(wealth.min(axis=1))])
-        raise DomainError(f"wealth leaves the {utility.kind} utility domain at share {bad}")
+        raise DomainError(f"wealth leaves the {utility.kind} utility domain at share {alpha}")
     u, m, k = utility.value_array(wealth), utility.marginal_array(wealth), reg.k
-    sums = (u[..., :k] @ reg.w_gain, u[..., k:] @ reg.w_loss, m[..., :k] @ reg.wx_gain, m[..., k:] @ reg.wx_loss)
-    if one:
-        return _tilt_row(reg, utility.value(r_f + alpha * cut), *map(float, sums))
-    return [_tilt_row(reg, utility.value(r_f + a * cut), *row)
-            for a, row in zip(shares.tolist(), zip(*(s.tolist() for s in sums)))]
-
-
-def _tilt_row(reg: _Region, target: float, m_g: float, m_l: float, s_g: float, s_l: float) -> _Tilt:
-    """The tilt at one share from its target and its four sums over the gain and loss nodes:
-    the utility moments ``m`` and the untilted slopes ``s``."""
+    target = utility.value(r_f + alpha * grid.cut(alpha))
+    m_g, m_l = float(u[:k] @ reg.w_gain), float(u[k:] @ reg.w_loss)
     factors = _tilt_factors(reg.p_gain, reg.p_loss, m_g, m_l, target)
     c_g, c_l = (1.0, 1.0) if factors is None else factors
-    return _Tilt(c_g, c_l, target, m_g, m_l, c_g * s_g + c_l * s_l)
+    h = c_g * float(m[:k] @ reg.wx_gain) + c_l * float(m[k:] @ reg.wx_loss)
+    return _Tilt(c_g, c_l, target, m_g, m_l, h)
 
 
 def naive_fixed_objective(asset: Asset, prefs: Preferences,
@@ -384,24 +370,6 @@ def rational_alpha(asset: Asset, utility: ConsumptionUtility = ConsumptionUtilit
                              value=value, converged=True, iterations=iters)
 
 
-def _sampled_slopes(grid: _AssetGrid, a: float, b: float):
-    """``h`` at ``_GAP_SAMPLES`` evenly spaced shares of the sign region ``[a, b]``, the
-    nonzero ones in one ``_tilt_kernel`` pass; an end at 0 reads the limit
-    ``h(0±) = u'(r_f) cut`` (``_slope_at_zero``).  None where that limit points into 0:
-    concavity under the beliefs tilted at ``alpha`` gives ``alpha h(alpha) <= u(r_f + alpha
-    cut) - u(r_f)``, so ``h`` keeps that sign over the whole region, which then holds no
-    fixed point."""
-    shares = np.linspace(a, b, _GAP_SAMPLES)
-    if 0.0 not in (a, b):
-        return shares.tolist(), [tilt.h for tilt in _tilt_kernel(grid, shares)]
-    end = a + b  # the region's nonzero end
-    limit = _slope_at_zero(grid, end)
-    if limit * end <= 0:
-        return None
-    hs = [tilt.h for tilt in _tilt_kernel(grid, shares[1:] if a == 0 else shares[:-1])]
-    return shares.tolist(), [limit, *hs] if a == 0 else [*hs, limit]
-
-
 def naive_alpha(asset: Asset, prefs: Preferences,
                 utility: ConsumptionUtility = ConsumptionUtility(),
                 bounds=DEFAULT_BOUNDS) -> PortfolioSolution:
@@ -413,42 +381,46 @@ def naive_alpha(asset: Asset, prefs: Preferences,
     ``h``, the bound ``lo`` where ``h(lo) <= 0``, the bound ``hi`` where
     ``h(hi) >= 0``, and possibly 0.  ``h`` is continuous on each sign region of
     the share and tends to ``u'(r_f) cut`` at 0, ``cut`` being the region's
-    belief cutoff; it may jump at 0, where the loss region switches sides.  A
-    region ending at 0 whose limit points into 0 is skipped (``_sampled_slopes``);
-    each other region is sampled on a few evenly spaced shares, all in one pass of
-    ``_tilt_kernel`` over one wealth matrix, and every sign change is closed by
-    Brent's method.  Each root, and each bound ``h`` points past, is a fixed
-    point.  At 0 the beliefs are objective, so 0 is one where the objective grid's
+    belief cutoff (``_slope_at_zero``); it may jump at 0, where the loss region
+    switches sides.  A region ending at 0 whose limit points into 0 is skipped:
+    concavity under the beliefs tilted at ``alpha`` gives ``alpha h(alpha) <=
+    u(r_f + alpha cut) - u(r_f)``, so ``h`` keeps that sign over the whole region,
+    which then holds no fixed point.  Each other region is decided from its two
+    ends, the limit at an end at 0 and ``h`` elsewhere: a bound ``h`` points past
+    is a fixed point, and a sign change between the ends is closed by Brent's
+    method.  That reads every fixed point of a region only if ``h`` crosses 0 at
+    most once there; no proof of this is known, but seeded scans of ``h`` at 41
+    shares per region, over bimodal and skewed mixtures and random tabulated
+    densities, never found two crossings (``crossing_corpus`` in the tests).  At 0
+    the beliefs are objective, so 0 is a fixed point where the objective grid's
     best share is exactly 0.  Among the fixed points the one with the highest
     anticipatory-plus-gain-loss utility is returned (lowest share on ties).
     Without one -- every region skipped, which on both sign regions means
     ``q(1 - p_star) <= 0 <= q(p_star)``, and 0 no fixed point -- the agent does not
-    trade: ``alpha = 0`` with ``converged=False``.  The batched samples only
-    decide signs and brackets; Brent's iterates, the candidates and the returned
-    share read one-share tilts, each computed once per solve, so ``value`` is exactly
+    trade: ``alpha = 0`` with ``converged=False``.  Every ``h`` is a one-share tilt,
+    computed once per solve, so ``value`` is exactly
     ``naive_fixed_objective(..., alpha)(alpha)``.
     """
     lo, hi = _feasible_bounds(asset, utility, bounds)
     grid = _AssetGrid(asset, prefs, utility)
-    evaluated: set[float] = set()  # shares at which h was evaluated
 
     def h(alpha: float) -> float:
-        evaluated.add(alpha)
         return grid.tilt(alpha).h
 
     zero = lo <= 0.0 <= hi and _best_share(*grid.nodes, asset.r_f, utility, lo, hi)[0] == 0.0
     candidates = [0.0] if zero else []
     for a, b in _sign_regions(lo, hi):
-        sampled = _sampled_slopes(grid, a, b)
-        if sampled is None:
-            continue
-        shares, hs = sampled
-        evaluated.update(s for s in shares if s != 0.0)
+        if 0.0 in (a, b):
+            limit = _slope_at_zero(grid, a + b)
+            if limit * (a + b) <= 0:
+                continue  # h points into 0 over the whole region
+        ends = [(s, limit if s == 0.0 else h(s)) for s in (a, b)]
         # at a bound that h points past the gap is 0: a candidate, and no end of a bracket
-        hs = [0.0 if (s == lo and v <= 0) or (s == hi and v >= 0) else v for s, v in zip(shares, hs)]
-        candidates += [s for s, v in zip(shares, hs) if v == 0.0]
-        candidates += [_brent_root(h, shares[i], hs[i], shares[i + 1], hs[i + 1])[0]
-                       for i in range(len(shares) - 1) if hs[i] * hs[i + 1] < 0]
+        ends = [(s, 0.0 if (s == lo and v <= 0) or (s == hi and v >= 0) else v) for s, v in ends]
+        candidates += [s for s, v in ends if v == 0.0]
+        if ends[0][1] * ends[1][1] < 0:
+            candidates.append(_brent_root(h, *ends[0], *ends[1])[0])
+    iterations = len(grid._tilts)  # the distinct shares at which h was evaluated
 
     fixed = sorted(set(candidates))
     best = _highest([(alpha, _total_utility_at(grid, prefs, alpha)) for alpha in fixed], 1e-12)
@@ -456,7 +428,7 @@ def naive_alpha(asset: Asset, prefs: Preferences,
     x, w = _naive_beliefs(grid, best_alpha)
     return PortfolioSolution(best_alpha, *_belief_finish(grid, utility, best_alpha),
                              _expected_utility(utility, asset.r_f, best_alpha, x, w),
-                             converged=bool(fixed), iterations=len(evaluated))
+                             converged=bool(fixed), iterations=iterations)
 
 
 def _belief_finish(grid: _AssetGrid, utility: ConsumptionUtility, alpha: float):

@@ -325,6 +325,23 @@ class TestVerify:
         assert payload["cases"] == 10
         assert payload["failures"] == 0
 
+    def test_random_counts_failures(self, cli, monkeypatch):
+        # a solver whose total utility falls 1e-6 short of its own fails every case against
+        # the oracle, which reaches the solver's value: exit 2
+        from dataclasses import replace
+
+        module = sys.modules[run.__module__]  # whose globals run reads
+        solve = module.solve_optimal_beliefs
+        monkeypatch.setattr(module, "solve_optimal_beliefs", lambda lottery, prefs: replace(
+            solve(lottery, prefs), total_utility=solve(lottery, prefs).total_utility - 1e-6))
+        code, out, _ = cli("verify", "beliefs", "--random", "3")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["cases"] == 3
+        assert payload["failures"] == 3
+        # printed at 10 significant digits
+        assert payload["max_gap"] == pytest.approx(1e-6, rel=1e-9)
+
     def test_alpha_oracle(self, cli):
         from bbl import Asset, ConsumptionUtility, ContinuousDistribution, rational_alpha
 

@@ -19,6 +19,11 @@ The discrete inputs are the seeded lotteries of ``tests/test_timing.py``, linear
 gain-loss: ``timing_corpus()`` (2 to 30 states) and ``timing_corpus(seed=7, size=60, sizes=(50,
 75, 100))``; each gives one line for ``solve_optimal_beliefs`` and one for ``timing_preference``.
 
+The crossing inputs are ``crossing_corpus()`` of ``tests/test_portfolio.py`` (bimodal and
+skewed mixtures and random tabulated densities, power rho up to 10, eta 0.3 to 0.99, lambda up
+to 6), each solved on the same eight bounds by the naive agent only: one line per solve, keyed
+``crossing`` in place of ``case``, after every other line.
+
 Floats are written by ``repr``; a call that raises gives its error instead.  No options.
 From the repository root:
 
@@ -32,7 +37,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from test_equilibrium import sweep_corpus, threshold_corpus  # noqa: E402
-from test_portfolio import NORMAL_ASSET, eta_corpus, naive_corpus  # noqa: E402
+from test_portfolio import NORMAL_ASSET, crossing_corpus, eta_corpus, naive_corpus  # noqa: E402
 from test_timing import timing_corpus  # noqa: E402
 
 from bbl import (  # noqa: E402
@@ -83,11 +88,13 @@ def cases():
                 yield asset, Preferences(eta=eta, lambda0=2.25), utility
 
 
-def main():
-    for case, (asset, prefs, utility) in enumerate(cases()):
+def print_solves(key, corpus, solvers):
+    """One line per solve of each ``(asset, prefs, utility)`` of ``corpus`` on each of
+    ``BOUNDS`` by each of ``solvers``, its index under ``key``."""
+    for case, (asset, prefs, utility) in enumerate(corpus):
         for bounds in BOUNDS:
-            for agent, solve in SOLVERS.items():
-                line = {"case": case, "bounds": bounds, "agent": agent}
+            for agent, solve in solvers.items():
+                line = {key: case, "bounds": bounds, "agent": agent}
                 try:
                     sol = solve(asset, prefs, utility, bounds)
                 except (ArithmeticError, ValueError) as exc:
@@ -95,6 +102,10 @@ def main():
                 else:
                     line.update((name, getattr(sol, name)) for name in FIELDS)
                 print(json.dumps(line))
+
+
+def main():
+    print_solves("case", cases(), SOLVERS)
     for case, (dist, lam) in enumerate(sweep_corpus(15, 10)):
         for grid, p_stars in GRIDS.items():
             for row in sweep(dist, lam, p_stars):
@@ -116,6 +127,7 @@ def main():
     for case, (lottery, prefs) in enumerate(lotteries):
         print(json.dumps({"beliefs": case, **solve_optimal_beliefs(lottery, prefs).to_dict()}))
         print(json.dumps({"timing": case, **timing_preference(lottery, prefs).to_dict()}))
+    print_solves("crossing", crossing_corpus(), {"naive": naive_alpha})
 
 
 if __name__ == "__main__":
