@@ -14,8 +14,9 @@ excess distribution with positive weights ``W``:
   ``a = alpha`` of utility under the beliefs frozen at ``alpha``, bracketed by the
   region's two ends, or a bound that slope points past.  A region ending at 0
   whose belief cutoff has the sign opposite to its shares holds none, and is not
-  searched.  Where no region holds one and 0 is not a fixed point either, the
-  agent does not trade.
+  searched.  0 is a fixed point where the objective grid's best share is exactly 0: never
+  where the slope at 0 exceeds a rounding bound; within it, a knife edge, Brent's method
+  decides.  Where no region holds one and 0 is none either, the agent does not trade.
 
 Both biased agents read one node set per sign region: one split of the panel set
 at its belief cutoff, whose gain and loss weights each agent scales by its own
@@ -37,7 +38,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._roots import _brent_root
+from ._roots import _EPS, _ROOT_X_TOL, _brent_root
 from .beliefs import ConsumptionUtility, _tilt_factors
 from .distributions import ContinuousDistribution, partial_expectation
 from .errors import DomainError, _fields, _finite
@@ -298,6 +299,35 @@ def _best_share(x: np.ndarray, w: np.ndarray, r_f: float, utility: ConsumptionUt
     return _brent_root(slope, lo, s_lo, hi, s_hi)[0], calls
 
 
+def _zero_slope(x: np.ndarray, w: np.ndarray, r_f: float, utility: ConsumptionUtility):
+    """``(s0, E)``: the slope at 0 as ``_best_share`` computes it, and ``_zero_is_best``'s bound."""
+    wx, m = w * x, utility.marginal_array(r_f + 0.0 * x)
+    awx = np.abs(wx) * m  # |w x| u'(r_f)
+    rho = utility.rho if utility.kind == "power" else float(utility.kind == "log")
+    drift = rho * (_ROOT_X_TOL * float(awx @ np.abs(x)) / r_f + _EPS * float(awx.sum())) if rho else 0.0
+    return float(wx @ m), 4.0 * (drift + 2 * x.size * _EPS * float(awx.sum()))
+
+
+def _zero_is_best(grid: _AssetGrid, lo: float, hi: float) -> bool:
+    """Whether ``_best_share`` of the objective grid on ``[lo, hi]`` is exactly 0, with no
+    root-find where the slope at 0, ``s0``, settles it.
+
+    On ``lo < 0 < hi`` that needs ``_brent_root``'s last iterate at 0.0: ``s0 == 0.0``, or a
+    bracket partner ``|c| <= _ROOT_X_TOL`` whose float slope has the other sign, so
+    ``|slope(c) - s0| > |s0|``.  ``E`` (``_zero_slope``) bounds ``|slope(c) - s0|``: 4 times
+    the drift of each node's ``u'``, ``rho |c x + rounding| / r_f`` of ``u'(r_f)`` to first
+    order (``rho`` 1 for log, 0 for linear, whose slope is constant), plus ``n eps sum |w x|
+    u'(r_f)`` for the rounding of each node sum, the 4 covering each ``u'``'s own rounding
+    and higher orders.  So ``|s0| > E`` means False; ``_best_share`` decides on a bound at 0
+    and at ``|s0| <= E``, the knife edge where the slope at 0 is rounding.
+    """
+    if not lo <= 0.0 <= hi:
+        return False
+    x, w = grid.nodes
+    s0, bound = _zero_slope(x, w, grid.asset.r_f, grid.utility) if lo < 0.0 < hi else (0.0, 0.0)
+    return abs(s0) <= bound and _best_share(x, w, grid.asset.r_f, grid.utility, lo, hi)[0] == 0.0
+
+
 def _total_utility_at(grid: _AssetGrid, prefs: Preferences, alpha: float) -> float:
     """Anticipatory plus gain-loss utility at the canonical beliefs for ``alpha``."""
     if alpha == 0.0:
@@ -391,11 +421,12 @@ def naive_alpha(asset: Asset, prefs: Preferences,
     method.  That reads every fixed point of a region only if ``h`` crosses 0 at
     most once there; no proof of this is known, but seeded scans of ``h`` at 41
     shares per region, over bimodal and skewed mixtures and random tabulated
-    densities, never found two crossings (``crossing_corpus`` in the tests).  At 0
-    the beliefs are objective, so 0 is a fixed point where the objective grid's
-    best share is exactly 0.  Among the fixed points the one with the highest
-    anticipatory-plus-gain-loss utility is returned (lowest share on ties).
-    Without one -- every region skipped, which on both sign regions means
+    densities, never found two crossings (``crossing_corpus`` in the tests).  At 0 the
+    beliefs are objective, so 0 is a fixed point where the objective grid's best share
+    is exactly 0: never where the slope at 0 exceeds its rounding bound; within it, a
+    knife edge, Brent's method decides (``_zero_is_best``).  Among the fixed points the
+    one with the highest anticipatory-plus-gain-loss utility is returned (lowest share
+    on ties).  Without one -- every region skipped, which on both sign regions means
     ``q(1 - p_star) <= 0 <= q(p_star)``, and 0 no fixed point -- the agent does not
     trade: ``alpha = 0`` with ``converged=False``.  Every ``h`` is a one-share tilt,
     computed once per solve, so ``value`` is exactly
@@ -407,8 +438,7 @@ def naive_alpha(asset: Asset, prefs: Preferences,
     def h(alpha: float) -> float:
         return grid.tilt(alpha).h
 
-    zero = lo <= 0.0 <= hi and _best_share(*grid.nodes, asset.r_f, utility, lo, hi)[0] == 0.0
-    candidates = [0.0] if zero else []
+    candidates = [0.0] if _zero_is_best(grid, lo, hi) else []
     for a, b in _sign_regions(lo, hi):
         if 0.0 in (a, b):
             limit = _slope_at_zero(grid, a + b)

@@ -25,6 +25,7 @@ from bbl import (
     subjective_expectation,
 )
 from bbl import portfolio
+from bbl._roots import _ROOT_X_TOL
 from bbl.beliefs import _tilt_factors
 from bbl.portfolio import (
     _AssetGrid,
@@ -41,6 +42,18 @@ from bbl.portfolio import (
 NORMAL_ASSET = Asset(1.0, ContinuousDistribution.normal(0.05, 0.2))
 LINEAR = ConsumptionUtility()
 LOG = ConsumptionUtility("log")
+# the bounds of tools/solve_dump.py: whole and one-signed ranges, bounds at 0, fixed shares,
+# and (-0.5, 0.7), whose clipped upper bound moves the knife edge of a zero-mean asset
+BOUNDS = [(-10.0, 10.0), (0.0, 10.0), (-10.0, 0.0), (0.0, 0.0), (0.3, 0.3), (0.3, 1.0),
+          (-1.0, -0.3), (-0.5, 0.5), (-0.5, 0.7)]
+# zero-mean symmetric excess returns, on which the slope at 0 is rounding
+SYMMETRIC = [
+    ContinuousDistribution.normal(0.0, 0.2),
+    ContinuousDistribution.normal(0.0, 1.0),
+    ContinuousDistribution.mixture([(0.5, -0.3, 0.1), (0.5, 0.3, 0.1)]),
+    ContinuousDistribution.tabulated((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0)),  # tent
+    ContinuousDistribution.tabulated((-1.0, 1.0), (0.5, 0.5)),  # uniform
+]
 
 
 def prefs_for(p_star, lam=2.25):
@@ -535,22 +548,123 @@ class TestNoTradeTheorem:
         assert sol.value == naive_fixed_objective(NORMAL_ASSET, prefs, LOG, 1e-20)(1e-20)
 
 
+def benchmark_naive_cases(calibrated_asset):
+    """The 16 ``(asset, eta)`` of the naive solves of the portfolio-shares benchmark at seed 1:
+    the calibrated asset on the eta grid jittered by the seed, the README asset on the grid
+    itself (lambda 2.25, power rho = 2, bounds -10 and 10)."""
+    rng, etas = random.Random(1), [0.5 + 0.05 * k for k in (0, 4, 2, 6, 1, 5, 3, 7)]
+    return ([(calibrated_asset, eta + 0.05 * rng.random()) for eta in etas]
+            + [(NORMAL_ASSET, eta) for eta in etas])
+
+
+@pytest.fixture
+def best_share_calls(monkeypatch):
+    """The ``(lo, hi)`` of every ``portfolio._best_share`` call, which still runs."""
+    calls, real = [], portfolio._best_share
+    monkeypatch.setattr(portfolio, "_best_share",
+                        lambda x, w, r_f, utility, lo, hi: calls.append((lo, hi)) or real(x, w, r_f, utility, lo, hi))
+    return calls
+
+
 class TestSampleKernel:
     """The naive solver's kernel work, free of timing noise."""
 
     def test_value_array_calls_on_the_benchmark_inputs(self, monkeypatch, calibrated_asset, power2):
-        # the 16 naive solves of the portfolio-shares benchmark at seed 1: the calibrated
-        # asset on the eta grid jittered by the seed, the README asset on the grid itself
         calls = []
         value_array = ConsumptionUtility.value_array
         monkeypatch.setattr(ConsumptionUtility, "value_array",
                             lambda utility, z: calls.append(z) or value_array(utility, z))
-        rng, etas = random.Random(1), [0.5 + 0.05 * k for k in (0, 4, 2, 6, 1, 5, 3, 7)]
-        cases = ([(calibrated_asset, eta + 0.05 * rng.random()) for eta in etas]
-                 + [(NORMAL_ASSET, eta) for eta in etas])
+        cases = benchmark_naive_cases(calibrated_asset)
         for asset, eta in cases:
             naive_alpha(asset, Preferences(eta=eta, lambda0=2.25), power2)
         assert len(calls) <= 11 * len(cases)
+
+    def test_no_rational_solve_on_the_benchmark_inputs(self, best_share_calls, calibrated_asset, power2):
+        # the slope at 0 is far outside its rounding bound on both assets, so the zero
+        # candidate needs no root-find, and the sign regions are decided with none either
+        for asset, eta in benchmark_naive_cases(calibrated_asset):
+            naive_alpha(asset, Preferences(eta=eta, lambda0=2.25), power2)
+        assert best_share_calls == []
+
+
+def zero_candidate_cases():
+    """The distinct ``(asset, utility)`` of the naive solves of ``naive_corpus()``,
+    ``eta_corpus()``, ``crossing_corpus()`` and the ``SYMMETRIC`` assets under linear, log and
+    power rho = 2 utility: the zero candidate reads no preferences."""
+    cases = {(id(asset), utility): (asset, utility)
+             for asset, _, utility in naive_corpus() + eta_corpus() + crossing_corpus()}
+    for excess in SYMMETRIC:
+        for utility in (LINEAR, LOG, ConsumptionUtility("power", 2.0)):
+            cases[id(excess), utility] = (Asset(1.0, excess), utility)
+    return list(cases.values())
+
+
+class TestZeroCandidate:
+    """0 is a naive fixed point where the objective grid's ``_best_share`` is exactly 0.
+    ``_zero_is_best`` reads that from the slope at 0 where it is outside its rounding bound
+    ``E``, and runs ``_best_share`` only inside it or on a bound at 0."""
+
+    @pytest.fixture(scope="class")
+    def verdicts(self):
+        """Per solve on each of ``BOUNDS`` that holds 0: the utility kind, whether ``lo < 0 <
+        hi``, the verdict, the ``_best_share`` reference, whether it ran ``_best_share``,
+        ``(s0, E)``, and the largest ``|slope(+-_ROOT_X_TOL) - s0|``."""
+        rows, real = [], portfolio._best_share
+        with pytest.MonkeyPatch.context() as mp:
+            calls = []
+            mp.setattr(portfolio, "_best_share", lambda *args: calls.append(args) or real(*args))
+            for asset, utility in zero_candidate_cases():
+                grid = _AssetGrid(asset, None, utility)
+                for bounds in BOUNDS:
+                    try:
+                        lo, hi = _feasible_bounds(asset, utility, bounds)
+                    except DomainError:
+                        continue  # the naive solve raises as well
+                    if not lo <= 0.0 <= hi:
+                        continue
+                    calls.clear()
+                    verdict = portfolio._zero_is_best(grid, lo, hi)
+                    fallback = bool(calls)
+                    x, w = grid.nodes
+                    reference = real(x, w, asset.r_f, utility, lo, hi)[0] == 0.0
+                    s0, bound = portfolio._zero_slope(x, w, asset.r_f, utility)
+                    drift = max(abs(float((w * x) @ utility.marginal_array(asset.r_f + c * x)) - s0)
+                                for c in (_ROOT_X_TOL, -_ROOT_X_TOL))
+                    rows.append((utility.kind, lo < 0.0 < hi, verdict, reference, fallback, s0, bound, drift))
+        return rows
+
+    def test_verdict_is_the_rational_solve(self, verdicts):
+        assert all(verdict == reference for _, _, verdict, reference, *_ in verdicts)
+
+    def test_both_branches_are_taken_by_every_utility(self, verdicts):
+        # early: lo < 0 < hi and |s0| > E, False with no _best_share; fallback: the rest
+        branches = set()
+        for kind, inside, verdict, _, fallback, s0, bound, _ in verdicts:
+            assert fallback == (not inside or abs(s0) <= bound)
+            assert fallback or not verdict
+            if inside:
+                branches.add((kind, fallback))
+        assert branches == {(kind, fallback) for kind in ("linear", "log", "power") for fallback in (True, False)}
+
+    def test_bound_covers_the_drift_at_the_tolerance(self, verdicts):
+        # measured worst drift 0.25 E (power rho up to 10); linear utility's slope is constant
+        worst = max(drift / bound for _, inside, *_, bound, drift in verdicts if inside)
+        assert worst <= 1.0
+        assert all(drift == 0.0 for kind, *_, drift in verdicts if kind == "linear")
+
+    def test_the_zero_mean_knife_edge_goes_to_the_rational_solve(self, best_share_calls, power2):
+        # N(0, 0.2): the slope at 0 is rounding, -1.2e-19 against E ~ 6.8e-13, so
+        # _best_share decides, and whether Brent's last iterate is exactly 0.0 turns on the
+        # bounds alone.  ROADMAP item 11 ("Portfolio knife edges are reported") will change
+        # this contract: a converged no-trade at 0 on all three.
+        asset, prefs = Asset(1.0, ContinuousDistribution.normal(0.0, 0.2)), Preferences(eta=0.7, lambda0=2.25)
+        s0, bound = portfolio._zero_slope(*_AssetGrid(asset).nodes, asset.r_f, power2)
+        assert abs(s0) <= bound
+        for bounds, converged in [((-10.0, 10.0), True), ((-0.5, 0.5), True), ((-0.5, 0.7), False)]:
+            best_share_calls.clear()
+            sol = naive_alpha(asset, prefs, power2, bounds)
+            assert (sol.alpha, sol.converged) == (0.0, converged)
+            assert best_share_calls == [_feasible_bounds(asset, power2, bounds)]
 
 
 class TestPanelWork:

@@ -4,8 +4,9 @@ compared with ``diff``.
 
 The portfolio inputs are the seeded corpora of ``tests/test_portfolio.py``
 (``naive_corpus()``, ``eta_corpus()`` and ``naive_corpus(seed=7, per_cell=20)``), the README
-asset and five zero-mean symmetric assets under linear, log and power rho = 2 utility at eta
-0.50 to 0.90 in steps of 0.05 (lambda 2.25), each solved on eight bounds by the three agents.
+asset and its five zero-mean ``SYMMETRIC`` assets under linear, log and power rho = 2 utility at
+eta 0.50 to 0.90 in steps of 0.05 (lambda 2.25), each solved on its nine ``BOUNDS`` by the
+three agents.
 Each line holds the case index, the bounds, the agent and the solution's ``alpha``,
 ``value``, ``r_ce``, ``belief_expectation``, ``converged`` and ``iterations``.
 
@@ -21,7 +22,7 @@ gain-loss: ``timing_corpus()`` (2 to 30 states) and ``timing_corpus(seed=7, size
 
 The crossing inputs are ``crossing_corpus()`` of ``tests/test_portfolio.py`` (bimodal and
 skewed mixtures and random tabulated densities, power rho up to 10, eta 0.3 to 0.99, lambda up
-to 6), each solved on the same eight bounds by the naive agent only: one line per solve, keyed
+to 6), each solved on the same nine bounds by the naive agent only: one line per solve, keyed
 ``crossing`` in place of ``case``, after every other line.
 
 Floats are written by ``repr``; a call that raises gives its error instead.  No options.
@@ -37,13 +38,19 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from test_equilibrium import sweep_corpus, threshold_corpus  # noqa: E402
-from test_portfolio import NORMAL_ASSET, crossing_corpus, eta_corpus, naive_corpus  # noqa: E402
+from test_portfolio import (  # noqa: E402
+    BOUNDS,
+    NORMAL_ASSET,
+    SYMMETRIC,
+    crossing_corpus,
+    eta_corpus,
+    naive_corpus,
+)
 from test_timing import timing_corpus  # noqa: E402
 
 from bbl import (  # noqa: E402
     Asset,
     ConsumptionUtility,
-    ContinuousDistribution,
     Preferences,
     compare,
     default_grid,
@@ -55,17 +62,8 @@ from bbl import (  # noqa: E402
 )
 from bbl.portfolio import naive_alpha, rational_alpha, sophisticated_alpha  # noqa: E402
 
-BOUNDS = [(-10.0, 10.0), (0.0, 10.0), (-10.0, 0.0), (0.0, 0.0), (0.3, 0.3), (0.3, 1.0),
-          (-1.0, -0.3), (-0.5, 0.5)]
 UTILITIES = [ConsumptionUtility(), ConsumptionUtility("log"), ConsumptionUtility("power", 2.0)]
 ETAS = [0.5 + 0.05 * k for k in range(9)]
-SYMMETRIC = [
-    ContinuousDistribution.normal(0.0, 0.2),
-    ContinuousDistribution.normal(0.0, 1.0),
-    ContinuousDistribution.mixture([(0.5, -0.3, 0.1), (0.5, 0.3, 0.1)]),
-    ContinuousDistribution.tabulated((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0)),  # tent
-    ContinuousDistribution.tabulated((-1.0, 1.0), (0.5, 0.5)),  # uniform
-]
 SOLVERS = {
     "rational": lambda asset, prefs, utility, bounds: rational_alpha(asset, utility, bounds),
     "naive": naive_alpha,
