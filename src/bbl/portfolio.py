@@ -4,11 +4,12 @@ Wealth is ``r_f + alpha * R`` where ``R`` is the realized excess return.  Each
 agent maximizes ``sum W u(r_f + a x)`` over quadrature nodes ``x`` of the
 excess distribution with positive weights ``W``:
 
-* ``rational_alpha``      -- the objective grid;
+* ``rational_alpha``      -- the objective grid, one ``_best_share``;
 * ``sophisticated_alpha`` -- on each sign region of the share, ``eta`` times the
   sum over the region's nodes with the loss nodes (beyond the belief cutoff)
-  weighted by ``lambda``.  A region ending at 0 whose slope there points into 0
-  has its best share at 0 and is not searched;
+  weighted by ``lambda``, one ``_best_share`` per region, the regions compared by
+  value.  A region ending at 0 whose slope there points into 0 has its best share
+  at 0 and is not searched;
 * ``naive_alpha``         -- a fixed point: the share is the maximizer under the
   beliefs tilted at that share.  On each sign region, a root of the slope at
   ``a = alpha`` of utility under the beliefs frozen at ``alpha``, bracketed by the
@@ -20,9 +21,10 @@ excess distribution with positive weights ``W``:
 
 Both biased agents read one node set per sign region: one split of the panel set
 at its belief cutoff, whose gain and loss weights each agent scales by its own
-pair of factors (``_AssetGrid.weighted``).  Both read a region's slope at 0 from
-closed forms with no node (``_slope_at_zero``): ``u'(r_f)`` times the region's
-first moment under the agent's weights at 0.
+pair of factors (``_AssetGrid.weighted``): the naive agent its tilt's at the share,
+the sophisticated agent 1 and ``lambda`` (``_AssetGrid.overweighted``).  Both read a
+region's slope at 0 from closed forms with no node (``_slope_at_zero``): ``u'(r_f)``
+times the region's first moment under the agent's weights at 0.
 
 Such a sum is concave, so ``_best_share`` finds its maximum as the Brent root
 of the first-order condition, or the bound its slope points to.  Bounds are
@@ -143,17 +145,16 @@ _Tilt = namedtuple("_Tilt", "c_g c_l target m_g m_l h")
 
 
 class _AssetGrid:
-    """Quadrature nodes of the excess distribution, split at the belief cutoffs, and the
-    naive agent's belief tilts under ``utility``; each is built on first use."""
+    """Quadrature nodes of the excess distribution, split at the belief cutoffs of ``prefs``,
+    and the biased agents' weights on them under ``utility``; each is built on first use."""
 
-    def __init__(self, asset: Asset, prefs: Preferences | None = None,
-                 utility: ConsumptionUtility | None = None):
+    def __init__(self, asset: Asset, prefs: Preferences, utility: ConsumptionUtility):
         self.asset = asset
+        self.prefs = prefs
         self.utility = utility
+        self.p_star = _interior_cutoff(prefs)
         self._built: dict = {}
         self._tilts: dict[float, _Tilt] = {}
-        if prefs is not None:
-            self.p_star = _interior_cutoff(prefs)
 
     def _once(self, key, build):
         if key not in self._built:
@@ -195,6 +196,12 @@ class _AssetGrid:
         reg = self.region(alpha)
         return reg.x, np.concatenate((c_g * reg.w_gain, c_l * reg.w_loss))
 
+    def overweighted(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """The sophisticated agent's nodes and weights on the sign region of ``alpha``: its
+        loss weights times ``lambda``, built once per sign."""
+        return self._once(("overweighted", alpha >= 0),
+                          lambda: self.weighted(alpha, 1.0, self.prefs.lambda0))
+
 
 def _expected_utility(utility: ConsumptionUtility, r_f: float, a: float, x: np.ndarray,
                       w: np.ndarray) -> float:
@@ -211,7 +218,7 @@ def rational_objective(asset: Asset, utility: ConsumptionUtility = ConsumptionUt
     Returns ``-inf`` where wealth leaves the utility domain, so the callable
     is safe to scan over any interval.
     """
-    x, w = _AssetGrid(asset).nodes
+    x, w = asset.excess.quad_nodes()
 
     def objective(alpha: float) -> float:
         return _expected_utility(utility, asset.r_f, alpha, x, w)
@@ -219,19 +226,13 @@ def rational_objective(asset: Asset, utility: ConsumptionUtility = ConsumptionUt
     return objective
 
 
-def _overweighted(grid: _AssetGrid, lambda0: float):
-    """The sophisticated agent's nodes and weights on the sign region of a share: its loss
-    weights times ``lambda``, built once per sign."""
-    return lambda alpha: grid._once(("overweighted", alpha >= 0), lambda: grid.weighted(alpha, 1.0, lambda0))
-
-
 def sophisticated_objective(asset: Asset, prefs: Preferences,
                             utility: ConsumptionUtility = ConsumptionUtility()):
     """Loss-overweighted expected utility as a callable of the risky share: ``eta`` times
     ``sum W u(r_f + alpha x)`` over the nodes of the share's sign region, loss weights
     times ``lambda``, as ``sophisticated_alpha`` maximizes it; ``-inf`` off the domain."""
-    nodes = _overweighted(_AssetGrid(asset, prefs), prefs.lambda0)
-    return lambda alpha: prefs.eta * _expected_utility(utility, asset.r_f, alpha, *nodes(alpha))
+    grid = _AssetGrid(asset, prefs, utility)
+    return lambda alpha: prefs.eta * _expected_utility(utility, asset.r_f, alpha, *grid.overweighted(alpha))
 
 
 def _tilt_kernel(grid: _AssetGrid, alpha: float) -> _Tilt:
@@ -369,32 +370,13 @@ def _slope_at_zero(grid: _AssetGrid, end: float, lambda0: float | None = None) -
     return float(grid.utility.marginal_array(np.array(grid.asset.r_f))) * moment
 
 
-def _concave_solve(r_f: float, utility: ConsumptionUtility, regions, nodes, scale: float = 1.0,
-                   at_zero=None):
-    """Best share over ``regions``, in ascending order: on each region ``(lo, hi)`` the
-    ``_best_share`` of ``scale * sum W u(r_f + a x)`` over the nodes ``nodes(lo)``, valued
-    over ``nodes(share)``, the regions compared by ``_highest``.  Given ``at_zero(end)``, the
-    slope at 0 toward ``end``, a region ending at 0 whose slope there points into 0 has its
-    best share at 0, by concavity, and is not searched.  Returns (share, value, slope
-    evaluations)."""
-    candidates, calls = [], 0
-    for lo, hi in regions:
-        if at_zero is not None and 0.0 in (lo, hi) and at_zero(lo + hi) * (lo + hi) <= 0:
-            alpha, n = 0.0, 0
-        else:
-            alpha, n = _best_share(*nodes(lo), r_f, utility, lo, hi)
-        # either region may reach 0, whose value reads the alpha >= 0 nodes
-        candidates.append((alpha, scale * _expected_utility(utility, r_f, alpha, *nodes(alpha))))
-        calls += n
-    return (*_highest(candidates, 1e-15), calls)
-
-
 def rational_alpha(asset: Asset, utility: ConsumptionUtility = ConsumptionUtility(),
                    bounds=DEFAULT_BOUNDS) -> PortfolioSolution:
     """Share maximizing objective expected utility on the given bounds."""
     lo, hi = _feasible_bounds(asset, utility, bounds)
-    grid = _AssetGrid(asset)
-    alpha, value, iters = _concave_solve(asset.r_f, utility, [(lo, hi)], lambda _: grid.nodes)
+    x, w = asset.excess.quad_nodes()
+    alpha, iters = _best_share(x, w, asset.r_f, utility, lo, hi)
+    value = _expected_utility(utility, asset.r_f, alpha, x, w)
     r_ce = None if alpha == 0.0 else (utility.inverse(value) - asset.r_f) / alpha
     return PortfolioSolution(alpha=alpha, belief_expectation=value, r_ce=r_ce,
                              value=value, converged=True, iterations=iters)
@@ -485,16 +467,24 @@ def sophisticated_alpha(asset: Asset, prefs: Preferences,
     PE(q(1 - p_star))`` or ``s(0-) = E x + (lambda - 1) (E x - PE(q(p_star)))``, ``PE`` the
     partial expectation (``_slope_at_zero``); a region ending at 0 where it points into 0
     has its maximum at 0 and is not searched, so on bounds around 0 the investor abstains
-    iff ``s(0+) <= 0 <= s(0-)``.  The value at 0 still reads the ``alpha >= 0`` nodes.  The
-    regions are compared by value (lowest share on ties).
+    iff ``s(0+) <= 0 <= s(0-)``.  A region's value reads the nodes of its share's sign (the
+    ``alpha >= 0`` ones at 0); the regions are compared by value (lowest share on ties).
     """
     lo, hi = _feasible_bounds(asset, utility, bounds)
     grid = _AssetGrid(asset, prefs, utility)
-    alpha, value, iters = _concave_solve(asset.r_f, utility, _sign_regions(lo, hi) or [(lo, hi)],
-                                         _overweighted(grid, prefs.lambda0), prefs.eta,
-                                         lambda end: _slope_at_zero(grid, end, prefs.lambda0))
+    candidates, iterations = [], 0
+    for a, b in _sign_regions(lo, hi) or [(lo, hi)]:
+        if 0.0 in (a, b) and _slope_at_zero(grid, a + b, prefs.lambda0) * (a + b) <= 0:
+            alpha = 0.0  # the slope at 0 points into 0: by concavity the region's best share
+        else:
+            alpha, n = _best_share(*grid.overweighted(a), asset.r_f, utility, a, b)
+            iterations += n
+        # either region may reach 0, whose value reads the alpha >= 0 nodes
+        value = prefs.eta * _expected_utility(utility, asset.r_f, alpha, *grid.overweighted(alpha))
+        candidates.append((alpha, value))
+    alpha, value = _highest(candidates, 1e-15)
     return PortfolioSolution(alpha, *_belief_finish(grid, utility, alpha), value,
-                             converged=True, iterations=iters)
+                             converged=True, iterations=iterations)
 
 
 def certainty_equivalent_excess(asset: Asset, alpha: float, prefs: Preferences,
@@ -504,4 +494,4 @@ def certainty_equivalent_excess(asset: Asset, alpha: float, prefs: Preferences,
     alpha = _finite("alpha", alpha)
     if alpha == 0.0:
         raise DomainError("certainty-equivalent excess return is undefined at alpha = 0")
-    return _belief_finish(_AssetGrid(asset, prefs), utility, alpha)[1]
+    return _belief_finish(_AssetGrid(asset, prefs, utility), utility, alpha)[1]

@@ -4,27 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from bbl import Asset, ConsumptionUtility, ContinuousDistribution, DiscreteLottery, Preferences
+from bbl import Asset, ConsumptionUtility, ContinuousDistribution
+
+from corpora import random_lottery, random_prefs
 
 settings.register_profile("deterministic", derandomize=True, max_examples=100)
 settings.load_profile("deterministic")
-
-
-def random_lottery(rng, sizes=(2, 3, 4), payoff_hi=10.0):
-    size = int(rng.choice(sizes))
-    payoffs = np.sort(rng.uniform(0.0, payoff_hi, size))
-    while len(set(payoffs)) < size:
-        payoffs = np.sort(rng.uniform(0.0, payoff_hi, size))
-    probs = rng.dirichlet(np.ones(size))
-    probs = probs / probs.sum()
-    return DiscreteLottery(tuple(payoffs), tuple(probs))
-
-
-def random_prefs(rng):
-    """Linear gain-loss preferences with lambda >= 1/eta (nonnegative cutoff)."""
-    eta = rng.uniform(0.3, 1.0)
-    lam = rng.uniform(max(1.02, 1.0 / eta), 4.0)
-    return Preferences(eta=eta, lambda0=lam)
 
 
 def normal_partial(mean, sd, a):

@@ -45,7 +45,8 @@ from bbl import (
 )
 from bbl.portfolio import rational_objective
 
-from conftest import normal_partial, random_lottery, random_prefs
+from conftest import normal_partial
+from corpora import random_lottery, random_prefs
 
 
 @contextmanager

@@ -19,7 +19,7 @@ from bbl import (
     total_utility,
 )
 
-from conftest import random_lottery, random_prefs
+from corpora import random_lottery, random_prefs
 
 PREFS = Preferences(eta=0.8, lambda0=2.25)
 TWO_STATE = DiscreteLottery((0.0, 1.0), (0.1, 0.9))

@@ -24,45 +24,10 @@ from bbl import (
 from bbl.equilibrium import CSV_COLUMNS
 
 from conftest import normal_partial
+from corpora import sweep_corpus, threshold_corpus
 
 N11 = ContinuousDistribution.normal(1.0, 1.0)
 LAM = 2.25
-
-
-def threshold_corpus(seed, count):
-    """``count`` each of normal, two-component mixture and tabulated densities."""
-    rng = np.random.default_rng(seed)
-    dists = []
-    for _ in range(count):
-        dists.append(ContinuousDistribution.normal(rng.uniform(-2.0, 2.0), rng.uniform(0.05, 3.0)))
-        w = rng.uniform(0.1, 0.9)
-        dists.append(ContinuousDistribution.mixture([
-            (w, rng.uniform(-1.0, 3.0), rng.uniform(0.1, 2.0)),
-            (1.0 - w, rng.uniform(-3.0, 1.0), rng.uniform(0.1, 2.0)),
-        ]))
-        z = np.linspace(rng.uniform(-6.0, -1.0), rng.uniform(1.0, 6.0), int(rng.choice((11, 51, 601))))
-        f = np.exp(-0.5 * ((z - rng.uniform(-1.5, 1.5)) / rng.uniform(0.3, 2.0)) ** 2) + 0.01
-        f /= np.sum((f[1:] + f[:-1]) * np.diff(z)) / 2.0
-        dists.append(ContinuousDistribution.tabulated(z.tolist(), f.tolist()))
-    return dists
-
-
-def sweep_corpus(seed, count):
-    """``count`` each of normal, two-component mixture and 601-point tabulated densities,
-    each with its own lambda."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        w = rng.uniform(0.1, 0.9)
-        z = np.linspace(rng.uniform(-6.0, -3.0), rng.uniform(3.0, 6.0), 601)
-        f = np.exp(-0.5 * ((z - rng.uniform(-1.5, 1.5)) / rng.uniform(0.3, 2.0)) ** 2) + 0.01
-        f /= np.sum((f[1:] + f[:-1]) * np.diff(z)) / 2.0
-        for dist in (ContinuousDistribution.normal(rng.uniform(-2.0, 2.0), rng.uniform(0.05, 3.0)),
-                     ContinuousDistribution.mixture([(w, rng.uniform(-1.0, 3.0), rng.uniform(0.1, 2.0)),
-                                                     (1.0 - w, rng.uniform(-3.0, 1.0), rng.uniform(0.1, 2.0))]),
-                     ContinuousDistribution.tabulated(z.tolist(), f.tolist())):
-            out.append((dist, float(rng.uniform(1.05, 4.0))))
-    return out
 
 
 def prefs_for(p_star):

@@ -15,7 +15,7 @@ from bbl import (
     solve_optimal_beliefs,
 )
 
-from conftest import random_lottery
+from corpora import random_lottery
 
 
 def general_prefs(eta, lam, beta=1.0, kappa=1e6):

@@ -28,8 +28,7 @@ from bbl import (
 )
 from bbl._roots import _ROOT_X_TOL
 
-from conftest import random_lottery
-from test_portfolio import eta_corpus, mirrored, naive_corpus
+from corpora import eta_corpus, mirrored, naive_corpus, random_lottery
 
 AGENTS = ("rational", "naive", "sophisticated")
 UTILITIES = {"log": ConsumptionUtility("log"), "power2": ConsumptionUtility("power", 2.0)}
@@ -88,16 +87,31 @@ class TestScaleRelations:
                 assert abs(scaled.alpha - base.alpha) <= 2.0 * _ROOT_X_TOL + 1e-14
 
 
-def test_mirrored_excess_return_mirrors_the_naive_share():
-    """Excess return ``-x`` maps the naive share ``alpha`` to ``-alpha`` with the same verdict:
-    wealth ``r_f + (-alpha)(-x)`` is the same random variable, and the two belief cutoffs
-    swap and change sign.  Measured worst 3.9e-14 of ``max(1, |alpha|)``: two Brent roots,
-    each within _ROOT_X_TOL of the same sign change, on nodes mirrored up to rounding."""
+# The worst |alpha' + alpha| / max(1, |alpha|) measured below was 3.3e-16 (rational), 7.5e-15
+# (naive) and 4.7e-16 (sophisticated), and the worst value gap 1.5e-15 of max(1, |value|); the
+# naive share is a Brent root of h, whose tilt is rebuilt on the mirrored nodes, so it keeps
+# Brent's tolerance
+MIRROR_TOL = {"rational": 5e-15, "naive": _ROOT_X_TOL, "sophisticated": 5e-15}
+
+
+@pytest.mark.parametrize("bounds,mirror_bounds", [((-10.0, 10.0), (-10.0, 10.0)), ((-1.0, 2.0), (-2.0, 1.0))])
+@pytest.mark.parametrize("agent", AGENTS)
+def test_mirrored_excess_return_mirrors_the_share(agent, bounds, mirror_bounds):
+    """Excess return ``-x`` on the mirrored bounds maps the share ``alpha`` to ``-alpha`` with
+    the same value and verdict: wealth ``r_f + (-alpha)(-x)`` is the same random variable, the
+    two sign regions swap, and so do the two belief cutoffs, changing sign.  The nodes are
+    mirrored up to rounding."""
+    def solve_on(asset, bounds):
+        if agent == "rational":
+            return rational_alpha(asset, utility, bounds)
+        return (naive_alpha if agent == "naive" else sophisticated_alpha)(asset, prefs, utility, bounds)
+
     for asset, prefs, utility in naive_corpus() + eta_corpus():
-        base = naive_alpha(asset, prefs, utility, BOUNDS)
-        mirror = naive_alpha(Asset(asset.r_f, mirrored(asset.excess)), prefs, utility, BOUNDS)
+        base = solve_on(asset, bounds)
+        mirror = solve_on(Asset(asset.r_f, mirrored(asset.excess)), mirror_bounds)
         assert mirror.converged == base.converged
-        assert abs(mirror.alpha + base.alpha) <= _ROOT_X_TOL * max(1.0, abs(base.alpha))
+        assert abs(mirror.alpha + base.alpha) <= MIRROR_TOL[agent] * max(1.0, abs(base.alpha))
+        assert abs(mirror.value - base.value) <= 1e-14 * max(1.0, abs(base.value))
 
 
 class TestNarrowMixtureComponent:

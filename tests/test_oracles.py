@@ -17,7 +17,7 @@ from bbl import (
 )
 from bbl.oracles import _oracle_gain_loss, _simplex_grid
 
-from conftest import random_lottery, random_prefs
+from corpora import random_lottery, random_prefs
 
 PREFS = Preferences(eta=0.8, lambda0=2.25)
 

@@ -1,9 +1,11 @@
 """The public surface: the package's exported names, pinned so that any addition or
 removal shows in a diff, and the records whose fields are part of it."""
 
+import ast
 import dataclasses
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +59,7 @@ PUBLIC = [
     "write_sweep_csv",
 ]
 
+TESTS = Path(__file__).resolve().parent
 MODULES = [importlib.import_module(f"bbl.{m.name}") for m in pkgutil.iter_modules(bbl.__path__)
            if not m.name.startswith("_")]
 
@@ -73,6 +76,29 @@ def test_every_exported_name_resolves(module):
 def test_package_names_come_from_a_module():
     exported = set().union(*(m.__all__ for m in MODULES))
     assert sorted(set(bbl.__all__) - exported) == []
+
+
+def imports(path):
+    """``(module, name)`` of every import in the file at ``path``, ``name`` None for ``import m``."""
+    pairs = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            pairs += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            pairs += [(node.module, alias.name) for alias in node.names]
+    return pairs
+
+
+def test_corpora_import_only_public_bbl_names():
+    # tools/solve_dump.py runs another tree's src on these inputs; a private name would stop it
+    pairs = imports(TESTS / "corpora.py")
+    assert {module.split(".")[0] for module, _ in pairs} == {"bbl", "numpy", "dataclasses"}
+    assert [(m, n) for m, n in pairs if any(part.startswith("_") for part in [*m.split("."), n or ""])] == []
+
+
+def test_no_test_module_imports_another():
+    assert [(path.name, module) for path in sorted(TESTS.glob("test_*.py"))
+            for module, _ in imports(path) if module.startswith("test_")] == []
 
 
 @pytest.mark.parametrize("record,values", [

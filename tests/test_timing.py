@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ import pytest
 import bbl.timing
 from bbl import (
     DiscreteLottery,
-    GainLossSpec,
     Preferences,
     cutoff_probability,
     gain_probability,
@@ -18,7 +16,7 @@ from bbl import (
 )
 from bbl.preferences import _verdict
 
-from conftest import random_lottery, random_prefs
+from corpora import random_lottery, random_prefs, timing_corpus
 
 PREFS = Preferences(eta=0.8, lambda0=2.25)
 TWO_STATE = DiscreteLottery((0.0, 1.0), (0.1, 0.9))
@@ -97,22 +95,6 @@ class TestVerdict:
                 assert v.u_wait - v.u_early > 1e-10
             else:
                 assert abs(v.u_early - v.u_wait) <= 1e-10
-
-
-def timing_corpus(seed=20261026, size=600, sizes=(2, 3, 4, 5, 8, 13, 21, 30)):
-    """Seeded lotteries of ``sizes`` states, each with linear (two in three) or general
-    gain-loss preferences and gamma in [0, 1]."""
-    rng = np.random.default_rng(seed)
-    for k in range(size):
-        lot = random_lottery(rng, sizes=sizes)
-        gamma = float(rng.choice((0.0, 1.0, rng.uniform(0.0, 1.0))))
-        if k % 3:
-            prefs = replace(random_prefs(rng), gamma=gamma)
-        else:
-            eta = rng.uniform(0.5, 0.9)
-            spec = GainLossSpec.general(rng.uniform(0.8, min(1.2, 0.98 / eta)), np.exp(rng.uniform(-0.7, 3.0)))
-            prefs = Preferences(eta=eta, lambda0=rng.uniform(1.5, 3.5), gamma=gamma, gain_loss=spec)
-        yield lot, prefs
 
 
 def test_verdict_is_exactly_the_two_utilities_at_the_solver_beliefs(monkeypatch):

@@ -2,28 +2,30 @@
 discrete belief solve and timing verdict over a fixed set of inputs, so that two trees can be
 compared with ``diff``.
 
-The portfolio inputs are the seeded corpora of ``tests/test_portfolio.py``
-(``naive_corpus()``, ``eta_corpus()`` and ``naive_corpus(seed=7, per_cell=20)``), the README
-asset and its five zero-mean ``SYMMETRIC`` assets under linear, log and power rho = 2 utility at
-eta 0.50 to 0.90 in steps of 0.05 (lambda 2.25), each solved on its nine ``BOUNDS`` by the
-three agents.
+All inputs are the seeded corpora of ``tests/corpora.py``, which imports only public ``bbl``
+names, so the dump runs on the ``src`` of any tree that has them.
+
+The portfolio inputs are ``naive_corpus()``, ``eta_corpus()`` and ``naive_corpus(seed=7,
+per_cell=20)``, and the README asset and its five zero-mean ``SYMMETRIC`` assets under linear,
+log and power rho = 2 utility at eta 0.50 to 0.90 in steps of 0.05 (lambda 2.25), each solved
+on the nine ``BOUNDS`` by the three agents.
 Each line holds the case index, the bounds, the agent and the solution's ``alpha``,
 ``value``, ``r_ce``, ``belief_expectation``, ``converged`` and ``iterations``.
 
-The pricing inputs are the seeded normal, mixture and tabulated densities of
-``tests/test_equilibrium.py``: each of ``sweep_corpus(15, 10)`` swept at its own lambda on
-the default grid and on ``0.001:0.999:0.001`` (one line per row), each of
-``threshold_corpus(23, 20)`` given its ``sweep_thresholds`` at lambda 2.25, and each
-neighbouring pair of it compared by the naive and the sophisticated agent at five cutoffs.
+The pricing inputs are seeded normal, mixture and tabulated densities: each of
+``sweep_corpus(15, 10)`` swept at its own lambda on the default grid and on
+``0.001:0.999:0.001`` (one line per row), each of ``threshold_corpus(23, 20)`` given its
+``sweep_thresholds`` at lambda 2.25, and each neighbouring pair of it compared by the naive
+and the sophisticated agent at five cutoffs.
 
-The discrete inputs are the seeded lotteries of ``tests/test_timing.py``, linear and general
-gain-loss: ``timing_corpus()`` (2 to 30 states) and ``timing_corpus(seed=7, size=60, sizes=(50,
-75, 100))``; each gives one line for ``solve_optimal_beliefs`` and one for ``timing_preference``.
+The discrete inputs are seeded lotteries, linear and general gain-loss: ``timing_corpus()``
+(2 to 30 states) and ``timing_corpus(seed=7, size=60, sizes=(50, 75, 100))``; each gives one
+line for ``solve_optimal_beliefs`` and one for ``timing_preference``.
 
-The crossing inputs are ``crossing_corpus()`` of ``tests/test_portfolio.py`` (bimodal and
-skewed mixtures and random tabulated densities, power rho up to 10, eta 0.3 to 0.99, lambda up
-to 6), each solved on the same nine bounds by the naive agent only: one line per solve, keyed
-``crossing`` in place of ``case``, after every other line.
+The crossing inputs are ``crossing_corpus()`` (bimodal and skewed mixtures and random
+tabulated densities, power rho up to 10, eta 0.3 to 0.99, lambda up to 6), each solved on the
+same nine bounds by the naive agent only: one line per solve, keyed ``crossing`` in place of
+``case``, after every other line.
 
 Floats are written by ``repr``; a call that raises gives its error instead.  No options.
 From the repository root:
@@ -37,16 +39,17 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from test_equilibrium import sweep_corpus, threshold_corpus  # noqa: E402
-from test_portfolio import (  # noqa: E402
+from corpora import (  # noqa: E402
     BOUNDS,
     NORMAL_ASSET,
     SYMMETRIC,
     crossing_corpus,
     eta_corpus,
     naive_corpus,
+    sweep_corpus,
+    threshold_corpus,
+    timing_corpus,
 )
-from test_timing import timing_corpus  # noqa: E402
 
 from bbl import (  # noqa: E402
     Asset,
