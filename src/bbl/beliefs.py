@@ -112,6 +112,18 @@ class ConsumptionUtility:
             return 1.0 / z
         return z ** -self.rho
 
+    def _tilt_arrays(self, b: float, r: np.ndarray):
+        """Arrays ``d``, ``m`` and scalars ``d_unit``, ``m_unit``: ``u(b(1 + r)) - u(b) = d_unit d``
+        and ``u'(b(1 + r)) = m_unit m`` at each ``r > -1``, from one ``log1p(r)``, uncancelled."""
+        import numpy as np
+        if self.kind == "linear":
+            return r, np.ones_like(r), b, 1.0
+        lr = np.log1p(r)
+        if self.kind == "log":
+            return lr, np.exp(-lr), 1.0, 1.0 / b
+        k = 1.0 - self.rho
+        return np.expm1(k * lr), np.exp(-self.rho * lr), b ** k / k, b ** -self.rho
+
     @classmethod
     def from_dict(cls, obj: dict) -> "ConsumptionUtility":
         _fields("utility", obj)
@@ -222,28 +234,24 @@ def gain_probability(lottery: DiscreteLottery, expectation: float) -> float:
     return math.fsum(p for p, u in zip(lottery.probs, lottery.utilities) if u >= expectation)
 
 
-def _tilt_factors(p_g: float, p_l: float, m_g: float, m_l: float,
-                  target: float) -> tuple[float, float] | None:
-    """Factors ``(c_g, c_l)`` scaling the gain and loss regions of a distribution
-    (masses ``p_g``, ``p_l``; utility moments ``m_g``, ``m_l``) so that the total
-    mass is 1 and the mean utility is ``target``; None when the system is singular."""
-    det = p_g * m_l - p_l * m_g
-    if det == 0:
-        return None
-    return (m_l - target * p_l) / det, (target * p_g - m_g) / det
+def _tilt_factors(p_g: float, p_l: float, gain: float, loss: float) -> tuple[float, float]:
+    """Factors ``(c_g, c_l)`` scaling the gain and loss regions of a distribution (masses ``p_g``,
+    ``p_l``) to total mass 1 and mean utility ``t``, from the centred sums ``gain = sum_gain p
+    (u - t)`` and ``loss = sum_loss p (t - u)``: ``(loss, gain) / (loss p_g + gain p_l)``, free
+    of a common scale of the sums and nonnegative whenever they share a sign."""
+    d = loss * p_g + gain * p_l
+    return loss / d, gain / d
 
 
 def canonical_beliefs(lottery: DiscreteLottery, target_expectation: float) -> tuple[float, ...]:
     """A belief vector with the given subjective expectation.
 
-    Gain states (utility >= target) are scaled by one common factor and loss
-    states by another, chosen so that mass is 1 and the mean is the target.
-    When a region is empty the two-point blend of the extreme states is used
-    instead.
+    Gain states (utility >= target) are scaled by one common factor and loss states by
+    another, chosen so that mass is 1 and the mean is the target (``_tilt_factors``).  Strictly
+    inside the utility range the top state is a gain and the bottom one a loss, so both
+    centred sums are positive: so are the factors' denominator and both factors.
     """
-    u = lottery.utilities
-    p = lottery.probs
-    t = float(target_expectation)
+    u, p, t = lottery.utilities, lottery.probs, float(target_expectation)
     lo, hi = u[0], u[-1]
     if t < lo - 1e-9 or t > hi + 1e-9:
         raise ValueError(f"target expectation {t} outside the utility range [{lo}, {hi}]")
@@ -254,20 +262,11 @@ def canonical_beliefs(lottery: DiscreteLottery, target_expectation: float) -> tu
         return tuple(1.0 if i == 0 else 0.0 for i in range(lottery.size))
 
     gain = [u_s >= t for u_s in u]
-    p_g = math.fsum(ps for ps, g in zip(p, gain) if g)
-    p_l = math.fsum(ps for ps, g in zip(p, gain) if not g)
-    m_g = math.fsum(ps * us for ps, us, g in zip(p, u, gain) if g)
-    m_l = math.fsum(ps * us for ps, us, g in zip(p, u, gain) if not g)
-    factors = _tilt_factors(p_g, p_l, m_g, m_l, t) if p_g > 0 and p_l > 0 else None
-    if factors is not None and factors[0] >= 0 and factors[1] >= 0:
-        c_g, c_l = factors
-        return tuple(ps * (c_g if g else c_l) for ps, g in zip(p, gain))
-    # degenerate region: put all mass on the extreme states
-    theta = (t - lo) / (hi - lo)
-    q = [0.0] * lottery.size
-    q[0] = 1.0 - theta
-    q[-1] = theta
-    return tuple(q)
+    c_g, c_l = _tilt_factors(math.fsum(ps for ps, g in zip(p, gain) if g),
+                             math.fsum(ps for ps, g in zip(p, gain) if not g),
+                             math.fsum(ps * (us - t) for ps, us, g in zip(p, u, gain) if g),
+                             math.fsum(ps * (t - us) for ps, us, g in zip(p, u, gain) if not g))
+    return tuple(ps * (c_g if g else c_l) for ps, g in zip(p, gain))
 
 
 def _solution_at(lottery: DiscreteLottery, expectation: float, prefs: Preferences,

@@ -136,12 +136,12 @@ def _feasible_bounds(asset: Asset, utility: ConsumptionUtility, bounds) -> tuple
     return lo_eff, hi_eff
 
 
-# A sign region's gain-then-loss nodes, the index where the loss nodes start, the gain and
-# loss weights, their products with the nodes, and the masses of the gain and loss nodes.
-_Region = namedtuple("_Region", "x k w_gain w_loss wx_gain wx_loss p_gain p_loss")
-# The beliefs tilted at one share: the gain and loss factors, the target expectation, the
-# utility moments of the gain and loss nodes, and h, the frozen-belief slope at the share.
-_Tilt = namedtuple("_Tilt", "c_g c_l target m_g m_l h")
+# A sign region's gain-then-loss nodes, their distances from the cutoff, the index where the loss
+# nodes start, the gain and loss weights, their products with the nodes, and the masses of both.
+_Region = namedtuple("_Region", "x dx k w_gain w_loss wx_gain wx_loss p_gain p_loss")
+# The beliefs tilted at one share: the factors c_g, c_l, the target expectation, the centred sums
+# sum_gain W (u - target) / alpha and sum_loss W (target - u) / alpha, and h, the frozen-belief slope.
+_Tilt = namedtuple("_Tilt", "c_g c_l target gain loss h")
 
 
 class _AssetGrid:
@@ -175,16 +175,16 @@ class _AssetGrid:
         """The gain and loss nodes on the sign region of ``alpha``: one split of the panel
         set at the cutoff."""
         def build():
-            below, above = self.asset.excess._split(self.cut(alpha))
+            cut = self.cut(alpha)
+            below, above = self.asset.excess._split(cut)
             (gx, gw), (lx, lw) = (below, above) if alpha < 0 else (above, below)
-            return _Region(np.concatenate((gx, lx)), gx.size, gw, lw, gw * gx, lw * lx,
-                           float(gw.sum()), float(lw.sum()))
+            x = np.concatenate((gx, lx))
+            return _Region(x, x - cut, gx.size, gw, lw, gw * gx, lw * lx, float(gw.sum()), float(lw.sum()))
 
         return self._once(("region", alpha >= 0), build)
 
     def tilt(self, alpha: float) -> _Tilt:
-        """The tilt and ``h`` at the nonzero share ``alpha`` (``_tilt_kernel``), each computed
-        once."""
+        """The tilt and ``h`` at the nonzero share ``alpha`` (``_tilt_kernel``), computed once."""
         tilt = self._tilts.get(alpha)
         if tilt is None:
             tilt = self._tilts[alpha] = _tilt_kernel(self, alpha)
@@ -236,25 +236,28 @@ def sophisticated_objective(asset: Asset, prefs: Preferences,
 
 
 def _tilt_kernel(grid: _AssetGrid, alpha: float) -> _Tilt:
-    """Belief tilt and ``h`` at the nonzero share ``alpha``, in one pass over the nodes of its
-    sign region.
+    """Belief tilt and ``h`` at the nonzero share ``alpha``, in one pass over its region's nodes.
 
-    The target subjective expectation is the utility payoff at the cutoff quantile; the
-    factors solve the mass and mean constraints on the gain and loss regions; ``h`` is the
-    slope in ``a``, at ``a = alpha``, of expected utility under the beliefs tilted at
-    ``alpha``.
+    The target expectation is ``u(b)``, ``b = r_f + alpha cut`` the wealth at the cutoff.  A
+    node's wealth is ``b(1 + r)``, ``r = (alpha / b)(x - cut)``: ``_tilt_arrays`` gives its
+    ``u - u(b)`` and ``u'`` as arrays times scalar units, applied after the sums, with no
+    cancellation as ``alpha`` tends to 0 (linear utility takes ``b = 1``).  The factors come from
+    the centred sums (``_tilt_factors``); ``h`` is the frozen-belief slope at ``a = alpha``.
     """
-    utility, r_f, reg = grid.utility, grid.asset.r_f, grid.region(alpha)
-    wealth = r_f + alpha * reg.x
-    if utility.needs_positive_wealth and wealth.min() <= 0:
+    utility, reg, cut = grid.utility, grid.region(alpha), grid.cut(alpha)
+    wealth, k = grid.asset.r_f + alpha * cut, reg.k
+    b = wealth if utility.needs_positive_wealth else 1.0
+    # the share raised to 1e-100 b in size, below which each kind is linear in r to rounding and
+    # products underflow; NaN at b <= 0, which the domain check refuses
+    a = math.copysign(max(abs(alpha), 1e-100 * b), alpha) if b > 0 else math.nan
+    r = (a / b) * reg.dx
+    if utility.needs_positive_wealth and not r.min() > -1.0:
         raise DomainError(f"wealth leaves the {utility.kind} utility domain at share {alpha}")
-    u, m, k = utility.value_array(wealth), utility.marginal_array(wealth), reg.k
-    target = utility.value(r_f + alpha * grid.cut(alpha))
-    m_g, m_l = float(u[:k] @ reg.w_gain), float(u[k:] @ reg.w_loss)
-    factors = _tilt_factors(reg.p_gain, reg.p_loss, m_g, m_l, target)
-    c_g, c_l = (1.0, 1.0) if factors is None else factors
-    h = c_g * float(m[:k] @ reg.wx_gain) + c_l * float(m[k:] @ reg.wx_loss)
-    return _Tilt(c_g, c_l, target, m_g, m_l, h)
+    d, m, d_unit, m_unit = utility._tilt_arrays(b, r)
+    gain, loss = float(d[:k] @ reg.w_gain), -float(d[k:] @ reg.w_loss)
+    c_g, c_l = _tilt_factors(reg.p_gain, reg.p_loss, gain, loss)
+    h = m_unit * (c_g * float(m[:k] @ reg.wx_gain) + c_l * float(m[k:] @ reg.wx_loss))
+    return _Tilt(c_g, c_l, utility.value(wealth), d_unit / a * gain, d_unit / a * loss, h)
 
 
 def naive_fixed_objective(asset: Asset, prefs: Preferences,
@@ -272,8 +275,7 @@ def _naive_beliefs(grid: _AssetGrid, alpha: float):
     """
     if alpha == 0.0:
         return grid.nodes
-    tilt = grid.tilt(alpha)
-    return grid.weighted(alpha, tilt.c_g, tilt.c_l)
+    return grid.weighted(alpha, *grid.tilt(alpha)[:2])  # c_g, c_l
 
 
 def _best_share(x: np.ndarray, w: np.ndarray, r_f: float, utility: ConsumptionUtility,
@@ -333,9 +335,8 @@ def _total_utility_at(grid: _AssetGrid, prefs: Preferences, alpha: float) -> flo
     """Anticipatory plus gain-loss utility at the canonical beliefs for ``alpha``."""
     if alpha == 0.0:
         return grid.utility.value(grid.asset.r_f)
-    reg, t = grid.region(alpha), grid.tilt(alpha)
-    gain_term, loss_term = t.m_g - t.target * reg.p_gain, t.m_l - t.target * reg.p_loss
-    return t.target + prefs.eta * (gain_term + prefs.lambda0 * loss_term)
+    t = grid.tilt(alpha)
+    return t.target + prefs.eta * alpha * (t.gain - prefs.lambda0 * t.loss)
 
 
 def _sign_regions(lo: float, hi: float) -> list[tuple[float, float]]:

@@ -67,6 +67,18 @@ class TestLottery:
             expected = [marginal(float(v)) for v in z]
             assert utility.marginal_array(z) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
+    def test_tilt_arrays_are_the_change_and_marginal_in_their_units(self):
+        # u(b(1 + r)) - u(b) = d_unit d and u'(b(1 + r)) = m_unit m at b = 1.5; the reference
+        # change is a difference of utilities of size ~1, which rounds by ~1e-16
+        b, r = 1.5, np.array([-0.75, -1e-3, 0.4, 2.5])
+        for utility in (ConsumptionUtility(), ConsumptionUtility("log"),
+                        ConsumptionUtility("power", 2.0), ConsumptionUtility("power", 0.5)):
+            d, m, d_unit, m_unit = utility._tilt_arrays(b, r)
+            wealth = b * (1.0 + r)
+            assert d * d_unit == pytest.approx(
+                [utility.value(float(z)) - utility.value(b) for z in wealth], rel=1e-14, abs=1e-15)
+            assert m * m_unit == pytest.approx(utility.marginal_array(wealth), rel=1e-15, abs=0.0)
+
     def test_power_inverse_outside_range_names_the_level(self):
         # rho > 1 maps payoffs to negative levels only; rho < 1 to nonnegative ones
         for rho, level in ((2.0, 0.5), (0.5, -0.25)):
@@ -103,6 +115,9 @@ class TestTotalUtility:
             total_utility(TWO_STATE, (0.7, 0.7), PREFS)
         with pytest.raises(ValueError):
             total_utility(TWO_STATE, (-0.2, 1.2), PREFS)
+        # a negative entry beyond the 1e-12 slack, in a vector that sums to 1 within 1e-9
+        with pytest.raises(ValueError, match="nonnegative"):
+            total_utility(TWO_STATE, (-1e-10, 1.0 + 1e-10), PREFS)
 
     @pytest.mark.parametrize("q", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
                                    (-math.inf, 1.0), (math.inf, -math.inf), (math.nan, math.nan)])
@@ -318,7 +333,7 @@ class TestCanonicalBeliefs:
         u_lo, u_hi = lot.utilities[0], lot.utilities[-1]
         target = u_lo + frac * (u_hi - u_lo)
         q = canonical_beliefs(lot, target)
-        assert all(v >= -1e-15 for v in q)
+        assert all(v >= 0.0 for v in q)  # each factor is a ratio of nonnegative sums
         assert math.fsum(q) == pytest.approx(1.0, abs=1e-9)
         got = math.fsum(qs * us for qs, us in zip(q, lot.utilities))
         assert got == pytest.approx(target, abs=1e-9 * max(1.0, abs(target)))

@@ -178,15 +178,16 @@ class TestNaive:
         with pytest.raises(DomainError):
             naive_alpha(calibrated_asset, Preferences(eta=1.0, lambda0=2.25), power2)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 21: the tilt's factors cancel like eps/|alpha|")
     @pytest.mark.parametrize("utility,alpha", [
-        *((ConsumptionUtility("power", 2.0), a) for a in (1e-12, 1e-20, -1e-20)),
-        *((LINEAR, a) for a in (1e-12, -1e-12, 1e-20, -1e-20)),
+        *((ConsumptionUtility("power", 2.0), a) for a in (1e-12, 1e-20, -1e-20, 5e-324, -5e-324)),
+        *((LINEAR, a) for a in (1e-12, -1e-12, 1e-20, -1e-20, 5e-324, -5e-324)),
     ], ids=lambda v: getattr(v, "kind", v))
     def test_tiny_share_value_is_the_belief_expectation(self, utility, alpha):
         # the tilted beliefs' expected utility is the target u(r_f + alpha cut) by their mean
-        # constraint; measured gaps 3.3e-4 (power 2) and 7.0e-5 (linear) at 1e-12, 0.067 at
-        # +-1e-20, each with converged true
+        # constraint; a tilt solved from raw utility moments missed it by 3.3e-4 (power 2) and
+        # 7.0e-5 (linear) at 1e-12 and by 0.067 at +-1e-20, each with converged true.  At the
+        # smallest subnormal share each weight times r would underflow to 0 without the
+        # kernel's 1e-100 floor on alpha / b, and the factors would be 0 / 0
         sol = naive_alpha(NORMAL_ASSET, Preferences(eta=0.6, lambda0=2.25), utility, (alpha, alpha))
         assert sol.converged
         assert abs(sol.value - sol.belief_expectation) <= 1e-12 * max(1.0, abs(sol.belief_expectation))
@@ -412,6 +413,21 @@ class TestNoTradeTheorem:
         for asset, prefs, utility in naive_corpus() + eta_corpus():
             assert_slope_tends_to_the_cutoff(asset, prefs, utility, 1.0)
 
+    @pytest.mark.parametrize("size", [1e-16, 1e-300])
+    def test_tilt_is_continuous_into_its_limit_and_nonnegative(self, size):
+        # 1,080 tilts per size: h within 1e-13 of its limit u'(r_f) cut (measured worst 1.8e-14
+        # at 1e-16 and 4.7e-14 at 1e-300; solved from raw utility moments, h missed it by 2.8e2
+        # times the limit at 1e-16, and 61 tilts had a negative factor)
+        utilities = [LINEAR, LOG, ConsumptionUtility("power", 2.0), ConsumptionUtility("power", 0.5)]
+        for asset, prefs, _ in naive_corpus() + eta_corpus():
+            for utility in utilities:
+                grid = _AssetGrid(asset, prefs, utility)
+                marginal = float(utility.marginal_array(np.array(asset.r_f)))
+                for alpha in (size, -size):
+                    tilt, limit = grid.tilt(alpha), marginal * grid.cut(alpha)
+                    assert abs(tilt.h - limit) <= 1e-13 * abs(limit)
+                    assert tilt.c_g >= 0.0 and tilt.c_l >= 0.0
+
     # (bounds, converged at eta = 0.6, 0.7, 0.85), for every utility, on the README asset: the
     # regions ending at 0 whose cutoff points into 0 are skipped, and 0 is a fixed point
     # where the objective grid's best share is exactly 0
@@ -447,12 +463,16 @@ class TestNoTradeTheorem:
         assert sol.alpha == 0.0
         assert sol.iterations == 0
 
-    def test_a_share_whose_wealth_rounds_to_r_f_keeps_objective_beliefs(self):
-        # log utility at r_f = 1 and a share of 1e-20: every node's utility is log 1 = 0, as at
-        # 0, so the tilt's system is singular and the beliefs stay objective
+    def test_a_share_whose_wealth_rounds_to_r_f_takes_the_limit_tilt(self):
+        # log utility at r_f = 1 and a share of 1e-20: every node's wealth rounds to 1, but its
+        # change from the cutoff's does not, so the factors are the alpha -> 0 limit ones, which
+        # give the region's nodes mass 1 and first moment cut (measured within 2.5e-16)
         prefs = Preferences(eta=0.6, lambda0=2.25)
         grid = _AssetGrid(NORMAL_ASSET, prefs, LOG)
-        assert grid.tilt(1e-20)[:2] == (1.0, 1.0)
+        reg, cut = grid.region(1e-20), grid.cut(1e-20)
+        limit = _tilt_factors(reg.p_gain, reg.p_loss, float(reg.w_gain @ (reg.x[:reg.k] - cut)),
+                              float(reg.w_loss @ (cut - reg.x[reg.k:])))
+        assert grid.tilt(1e-20)[:2] == pytest.approx(limit, rel=1e-15, abs=0.0)
         sol = naive_alpha(NORMAL_ASSET, prefs, LOG, (1e-20, 1e-20))
         assert sol.converged and sol.alpha == 1e-20
         assert sol.value == naive_fixed_objective(NORMAL_ASSET, prefs, LOG, 1e-20)(1e-20)
@@ -479,11 +499,13 @@ def best_share_calls(monkeypatch):
 class TestSampleKernel:
     """The naive solver's kernel work, free of timing noise."""
 
-    def test_value_array_calls_on_the_benchmark_inputs(self, monkeypatch, calibrated_asset, power2):
+    def test_utility_array_calls_on_the_benchmark_inputs(self, monkeypatch, calibrated_asset, power2):
+        # one _tilt_arrays per tilt and one value_array per solve: 93 + 16 calls
         calls = []
-        value_array = ConsumptionUtility.value_array
-        monkeypatch.setattr(ConsumptionUtility, "value_array",
-                            lambda utility, z: calls.append(z) or value_array(utility, z))
+        for name in ("value_array", "_tilt_arrays"):
+            method = getattr(ConsumptionUtility, name)
+            monkeypatch.setattr(ConsumptionUtility, name,
+                                lambda utility, *args, method=method: calls.append(args) or method(utility, *args))
         cases = benchmark_naive_cases(calibrated_asset)
         for asset, eta in cases:
             naive_alpha(asset, Preferences(eta=eta, lambda0=2.25), power2)
@@ -771,7 +793,8 @@ class TestSlopeAtZero:
                     reg = grid.region(end)
                     s_g, s_l = float(reg.wx_gain.sum()), float(reg.wx_loss.sum())
                     a_g, a_l = float(np.abs(reg.wx_gain).sum()), float(np.abs(reg.wx_loss).sum())
-                    c_g, c_l = _tilt_factors(reg.p_gain, reg.p_loss, s_g, s_l, grid.cut(end))
+                    cut = grid.cut(end)
+                    c_g, c_l = _tilt_factors(reg.p_gain, reg.p_loss, s_g - cut * reg.p_gain, cut * reg.p_loss - s_l)
                     assert (abs(_slope_at_zero(grid, end) - marginal * (c_g * s_g + c_l * s_l))
                             <= 1e-15 * marginal * (abs(c_g) * a_g + abs(c_l) * a_l))
                     lam = prefs.lambda0
@@ -975,11 +998,12 @@ class TestFixedShareBounds:
             assert sol.converged
 
 
-    def test_a_share_outside_the_wealth_domain_is_named(self):
+    @pytest.mark.parametrize("share", [50.0, -50.0])
+    def test_a_share_outside_the_wealth_domain_is_named(self, share):
         # naive_fixed_objective takes any share: one whose wealth leaves the domain is refused
-        # by the tilt kernel, which names it
-        with pytest.raises(DomainError, match="log utility domain at share 50.0"):
-            naive_fixed_objective(NORMAL_ASSET, Preferences(eta=0.6, lambda0=2.25), LOG, 50.0)
+        # by the tilt kernel, which names it; at -50 the wealth at the cutoff is negative too
+        with pytest.raises(DomainError, match=f"log utility domain at share {share}"):
+            naive_fixed_objective(NORMAL_ASSET, Preferences(eta=0.6, lambda0=2.25), LOG, share)
 
 
 class TestNonFiniteBounds:

@@ -2,8 +2,9 @@
 
 Runs pytest in this process under a ``sys.settrace`` line tracer limited to
 ``src/bbl`` and prints each statement that no line event reached, as
-``path:line: source``, then their count.  Standard library only; it gates
-nothing and exits 0 whatever the tests do.  From the repository root:
+``path:line: source``, then their count.  Standard library only; it exits 1
+when any statement never ran, and 0 otherwise, whatever the tests do.  From
+the repository root:
 
     PYTHONPATH=src python tools/unrun_lines.py [pytest arguments]
 """
@@ -53,3 +54,4 @@ if __name__ == "__main__":
                 unrun += 1
                 print(f"{path.relative_to(ROOT)}:{first}: {source[first - 1].strip()}")
     print(f"{unrun} statements of src/bbl never ran")
+    sys.exit(1 if unrun else 0)
